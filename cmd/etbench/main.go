@@ -167,20 +167,19 @@ func run(args []string) error {
 	// The -json report accumulates one scenario per fig4/fig6 case-study
 	// solve, appended in the fixed render order so the artifact is as
 	// deterministic as the text output. With -json set, each dataset is
-	// additionally re-solved with warm-started node LPs
-	// (Options.ReuseBasis) so the artifact carries a cold/warm pair per
-	// dataset; counters come from the metrics snapshot the solve embeds
-	// in its stats.
+	// additionally re-solved with root cuts and kernel search so the
+	// artifact carries a baseline/"+cuts" pair per dataset; counters come
+	// from the metrics snapshot the solve embeds in its stats.
 	var benchScenarios []obs.BenchScenario
 
-	scenario := func(name string, dr bool, res *experiments.CaseStudyResult, warm bool) obs.BenchScenario {
+	scenario := func(name string, dr bool, res *experiments.CaseStudyResult) obs.BenchScenario {
 		s := obs.BenchScenario{
 			Name: name, DR: dr,
 			Rows: res.Stats.Rows, Cols: res.Stats.Cols,
 			Nodes: res.Stats.Nodes, Iterations: res.Stats.Iterations,
 			Workers: res.Stats.Workers, Gap: res.Stats.Gap,
 			WallMillis: res.Stats.WallMillis, WorkMillis: res.Stats.WorkMillis,
-			Cost: res.Cost("ETRANSFORM"), Warm: warm,
+			Cost: res.Cost("ETRANSFORM"),
 		}
 		if s.Gap < 0 {
 			// A fallback-stage plan carries the −1 "gap unknown" sentinel;
@@ -191,7 +190,6 @@ func run(args []string) error {
 		if m := res.Stats.Metrics; m != nil {
 			s.WarmHits = m.Counters[obs.MetricSimplexWarmHits]
 			s.WarmMisses = m.Counters[obs.MetricSimplexWarmMisses]
-			s.Phase1Skipped = m.Counters[obs.MetricSimplexPhase1Skipped]
 			s.Factorizations = m.Counters[obs.MetricSimplexFactorizations]
 			s.EtaUpdates = m.Counters[obs.MetricSimplexEtaUpdates]
 			s.PricedCandidates = m.Counters[obs.MetricSimplexPricedCandidates]
@@ -212,7 +210,6 @@ func run(args []string) error {
 		}
 		// Solve the datasets concurrently; render in the fixed order.
 		results := make([]*experiments.CaseStudyResult, len(cfgs))
-		warmResults := make([]*experiments.CaseStudyResult, len(cfgs))
 		cutsResults := make([]*experiments.CaseStudyResult, len(cfgs))
 		errs := make([]error, len(cfgs))
 		var wg sync.WaitGroup
@@ -224,12 +221,6 @@ func run(args []string) error {
 				scCold.CollectMetrics = *jsonOut != ""
 				results[i], errs[i] = experiments.CaseStudy(cfgs[i], scCold, dr)
 				if errs[i] != nil || *jsonOut == "" {
-					return
-				}
-				scWarm := scCold
-				scWarm.ReuseBasis = true
-				warmResults[i], errs[i] = experiments.CaseStudy(cfgs[i], scWarm, dr)
-				if errs[i] != nil {
 					return
 				}
 				scCuts := scCold
@@ -248,16 +239,9 @@ func run(args []string) error {
 			fmt.Printf("solver: %d rows × %d cols, %d nodes, gap %.2g, %d workers, wall %dms (busy %dms)\n\n",
 				res.Stats.Rows, res.Stats.Cols, res.Stats.Nodes, res.Stats.Gap,
 				res.Stats.Workers, res.Stats.WallMillis, res.Stats.WorkMillis)
-			benchScenarios = append(benchScenarios, scenario(fig+"/"+cfg.Name, dr, res, false))
-			if wres := warmResults[i]; wres != nil {
-				ws := scenario(fig+"/"+cfg.Name+"+warm", dr, wres, true)
-				fmt.Printf("warm re-solve: %d nodes, %d iterations, wall %dms, warm hits %d / misses %d, cost Δ %+.2f\n\n",
-					wres.Stats.Nodes, wres.Stats.Iterations, wres.Stats.WallMillis,
-					ws.WarmHits, ws.WarmMisses, wres.Cost("ETRANSFORM")-res.Cost("ETRANSFORM"))
-				benchScenarios = append(benchScenarios, ws)
-			}
+			benchScenarios = append(benchScenarios, scenario(fig+"/"+cfg.Name, dr, res))
 			if cres := cutsResults[i]; cres != nil {
-				cs := scenario(fig+"/"+cfg.Name+"+cuts", dr, cres, false)
+				cs := scenario(fig+"/"+cfg.Name+"+cuts", dr, cres)
 				cs.CutsEnabled = true
 				fmt.Printf("cuts+kernel re-solve: %d nodes, %d iterations, wall %dms, gap %.2g, %d cuts (%d active), %d kernel incumbents, cost Δ %+.2f\n\n",
 					cres.Stats.Nodes, cres.Stats.Iterations, cres.Stats.WallMillis, cres.Stats.Gap,

@@ -95,7 +95,6 @@ func run(args []string) (degraded bool, err error) {
 	showReport := fs.Bool("report", true, "print the human-readable plan report")
 	memBudget := fs.Int64("membudget", 0, "open-node queue memory budget in bytes (0 = unlimited)")
 	workers := fs.Int("workers", 0, "branch & bound worker goroutines (0 = all CPUs, 1 = deterministic)")
-	warmLP := fs.Bool("warmlp", false, "warm-start node LPs from the parent's simplex basis (same answer, fewer pivots)")
 	cutsOn := fs.Bool("cuts", false, "separate Gomory and cover cuts at the root (same answer, tighter bound)")
 	kernelOn := fs.Bool("kernel", false, "run the kernel-search primal heuristic at the root (same answer, earlier incumbents)")
 	traceOut := fs.String("trace", "", "write a structured JSONL solve trace to this file (byte-stable at -workers 1)")
@@ -155,17 +154,16 @@ func run(args []string) (degraded bool, err error) {
 		Aggregate:           *aggregate,
 		CandidateK:          *candidates,
 		Solver: milp.Options{
-			GapTol:     *gap,
-			MaxNodes:   *nodes,
-			TimeLimit:  *timeLimit,
-			Workers:    *workers,
-			ReuseBasis: *warmLP,
-			Cuts:       cuts.Options{Enable: *cutsOn},
-			Kernel:     milp.KernelOptions{Enable: *kernelOn},
-			Budget:     milp.Budget{MemoryBytes: *memBudget},
-			Inject:     inject,
-			Trace:      obsrv.Tracer,
-			Metrics:    obsrv.Metrics,
+			GapTol:    *gap,
+			MaxNodes:  *nodes,
+			TimeLimit: *timeLimit,
+			Workers:   *workers,
+			Cuts:      cuts.Options{Enable: *cutsOn},
+			Kernel:    milp.KernelOptions{Enable: *kernelOn},
+			Budget:    milp.Budget{MemoryBytes: *memBudget},
+			Inject:    inject,
+			Trace:     obsrv.Tracer,
+			Metrics:   obsrv.Metrics,
 		},
 	}
 	if *robustSpec != "" {

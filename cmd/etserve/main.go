@@ -80,7 +80,6 @@ func run(args []string) error {
 	timeLimit := fs.Duration("timelimit", 5*time.Minute, "per-job solve wall-clock limit")
 	memBudget := fs.Int64("membudget", 0, "open-node queue memory budget in bytes (0 = unlimited)")
 	workers := fs.Int("workers", 0, "branch & bound worker goroutines per job (0 = all CPUs, 1 = deterministic traces)")
-	warmLP := fs.Bool("warmlp", false, "warm-start node LPs from the parent's simplex basis")
 	cutsOn := fs.Bool("cuts", false, "separate Gomory and cover cuts at the root")
 	kernelOn := fs.Bool("kernel", false, "run the kernel-search primal heuristic at the root")
 	if err := fs.Parse(args); err != nil {
@@ -109,12 +108,9 @@ func run(args []string) error {
 			MaxNodes:  *nodes,
 			TimeLimit: *timeLimit,
 			Workers:   *workers,
-			// ReuseBasis additionally turns itself on for warm re-plans
-			// (?prev=), independent of this daemon-wide default.
-			ReuseBasis: *warmLP,
-			Cuts:       cuts.Options{Enable: *cutsOn},
-			Kernel:     milp.KernelOptions{Enable: *kernelOn},
-			Budget:     milp.Budget{MemoryBytes: *memBudget},
+			Cuts:      cuts.Options{Enable: *cutsOn},
+			Kernel:    milp.KernelOptions{Enable: *kernelOn},
+			Budget:    milp.Budget{MemoryBytes: *memBudget},
 		},
 	}
 

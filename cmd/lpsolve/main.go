@@ -63,7 +63,6 @@ func run(args []string) (degraded bool, err error) {
 	timeLimit := fs.Duration("timelimit", 10*time.Minute, "wall-clock limit")
 	memBudget := fs.Int64("membudget", 0, "open-node queue memory budget in bytes (0 = unlimited)")
 	workers := fs.Int("workers", 0, "branch & bound worker goroutines (0 = all CPUs, 1 = deterministic)")
-	warmLP := fs.Bool("warmlp", false, "warm-start node LPs from the parent's simplex basis (same answer, fewer pivots)")
 	cutsOn := fs.Bool("cuts", false, "separate Gomory and cover cuts at the root (same answer, tighter bound)")
 	kernelOn := fs.Bool("kernel", false, "run the kernel-search primal heuristic at the root (same answer, earlier incumbents)")
 	traceOut := fs.String("trace", "", "write a structured JSONL solve trace to this file (byte-stable at -workers 1)")
@@ -117,13 +116,12 @@ func run(args []string) (degraded bool, err error) {
 	start := time.Now()
 	sol, err := milp.SolveContext(ctx, m, &milp.Options{
 		GapTol: *gap, MaxNodes: *nodes, TimeLimit: *timeLimit, Workers: *workers,
-		ReuseBasis: *warmLP,
-		Cuts:       cuts.Options{Enable: *cutsOn},
-		Kernel:     milp.KernelOptions{Enable: *kernelOn},
-		Budget:     milp.Budget{MemoryBytes: *memBudget},
-		Inject:     inject,
-		Trace:      obsrv.Tracer,
-		Metrics:    obsrv.Metrics,
+		Cuts:    cuts.Options{Enable: *cutsOn},
+		Kernel:  milp.KernelOptions{Enable: *kernelOn},
+		Budget:  milp.Budget{MemoryBytes: *memBudget},
+		Inject:  inject,
+		Trace:   obsrv.Tracer,
+		Metrics: obsrv.Metrics,
 	})
 	canceled := err != nil && errors.Is(err, context.Canceled) && sol != nil
 	if err != nil && !canceled {

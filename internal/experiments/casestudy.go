@@ -54,21 +54,16 @@ type Scale struct {
 	// picks a non-oversubscribing default: 1 inside a concurrent sweep
 	// (the sweep already saturates the cores), runtime.NumCPU() otherwise.
 	SolverWorkers int
-	// ReuseBasis warm-starts each node LP from its parent's optimal
-	// basis (milp.Options.ReuseBasis). Same certified answers, fewer
-	// simplex pivots; off by default to keep default trajectories
-	// byte-stable.
-	ReuseBasis bool
 	// Cuts separates Gomory and cover cuts at the root node
 	// (milp.Options.Cuts). Same certified answers, tighter dual bound;
-	// off by default like ReuseBasis.
+	// off by default.
 	Cuts bool
 	// Kernel runs the kernel-search primal heuristic at the root
 	// (milp.Options.Kernel). Same certified answers, earlier incumbents.
 	Kernel bool
 	// CollectMetrics arms an observability registry on each solve so the
 	// result's SolveStats.Metrics snapshot carries the solver counters
-	// (pivots, warm hits, phase-1 skips, …). Off by default: metrics
+	// (pivots, warm hits, factorizations, …). Off by default: metrics
 	// collection costs atomics on hot paths.
 	CollectMetrics bool
 }
@@ -93,9 +88,9 @@ func (sc Scale) solver() milp.Options {
 	}
 	o := milp.Options{
 		GapTol: sc.GapTol, MaxNodes: sc.MaxNodes, TimeLimit: sc.TimeLimit,
-		Workers: workers, ReuseBasis: sc.ReuseBasis,
-		Cuts:   cuts.Options{Enable: sc.Cuts},
-		Kernel: milp.KernelOptions{Enable: sc.Kernel},
+		Workers: workers,
+		Cuts:    cuts.Options{Enable: sc.Cuts},
+		Kernel:  milp.KernelOptions{Enable: sc.Kernel},
 	}
 	if sc.CollectMetrics {
 		o.Metrics = obs.NewMetrics()

@@ -75,18 +75,11 @@ type Options struct {
 	// supplied by the caller; each feasible one seeds the incumbent
 	// before search begins. Infeasible candidates are ignored.
 	WarmStarts [][]float64
-	// ReuseBasis warm-starts each node LP from its parent's optimal
-	// basis (simplex.Solver.SolveFrom): the child differs from the
-	// parent by one variable bound, so a few dual-simplex pivots replace
-	// a full two-phase solve. Off by default — on a degenerate node LP
-	// the warm path can stop at a different vertex of the same optimal
-	// face than the cold path, steering branching onto a different
-	// (equally valid) trajectory, and the default must stay byte-stable
-	// for golden traces. Either way the certified objective agrees
-	// within GapTol, and at Workers=1 each setting is individually
-	// deterministic. Correctness never depends on the warm path: any
-	// stale or singular basis falls back to the cold two-phase solve
-	// inside the simplex layer.
+	// Deprecated: ignored. Every node LP, dive pass and kernel
+	// sub-solve is warm-started from its parent's optimal basis
+	// (simplex.Solver.SolveFrom, which falls back to the cold two-phase
+	// solve when the basis is stale); the field no longer selects
+	// anything and will be removed.
 	ReuseBasis bool
 	// MaxDiveDepth bounds the diving heuristic's fixing passes.
 	// Default 200.
@@ -168,8 +161,8 @@ type node struct {
 	depth   int
 	seq     int // FIFO tie-break so the claim order is total
 	// basis is the parent LP's optimal basis (shared by both siblings;
-	// a Basis is immutable), set only under Options.ReuseBasis. nil
-	// means the node LP starts cold.
+	// a Basis is immutable). nil — the parent's LP left no snapshotable
+	// basis — means the node LP starts cold.
 	basis *simplex.Basis
 }
 

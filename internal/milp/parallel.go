@@ -193,11 +193,11 @@ func (c *coordinator) pushLocked(bound float64, depth int, changes []boundChange
 }
 
 // nodeBytes estimates the heap footprint of one open node: the node
-// struct, its bound-change list, and (under ReuseBasis) its parent
-// basis snapshot. The frontier queue is the only part of the search
-// whose memory grows without bound, so this is what Budget.MemoryBytes
-// meters. Siblings share one basis but each is charged in full — a
-// deliberate overestimate, since a budget meter must never undercount.
+// struct, its bound-change list, and its parent basis snapshot. The
+// frontier queue is the only part of the search whose memory grows
+// without bound, so this is what Budget.MemoryBytes meters. Siblings
+// share one basis but each is charged in full — a deliberate
+// overestimate, since a budget meter must never undercount.
 func nodeBytes(nd *node) int64 {
 	return 64 + 24*int64(cap(nd.changes)) + nd.basis.MemBytes()
 }
@@ -297,9 +297,9 @@ func (c *coordinator) tryAccept(x []float64, gateObj float64, worker int) {
 
 // solveWith applies the node's bound changes, solves the LP relaxation
 // on the worker's private model, and restores the bounds. A non-nil
-// basis (the parent node's optimal basis, present only under
-// ReuseBasis) warm-starts the solve; the simplex layer falls back to
-// its cold path on its own whenever the basis is stale.
+// basis (the parent LP's optimal basis) warm-starts the solve; the
+// simplex layer falls back to its cold path on its own whenever the
+// basis is stale, and a nil basis (the root) solves cold.
 func (w *worker) solveWith(changes []boundChange, basis *simplex.Basis) (*lp.Solution, error) {
 	saved := make([]boundChange, len(changes))
 	for i, ch := range changes {
@@ -323,45 +323,6 @@ func (w *worker) solveWith(changes []boundChange, basis *simplex.Basis) (*lp.Sol
 	}
 	w.iterations += sol.Iterations
 	return sol, nil
-}
-
-// tryWarmWith is solveWith restricted to the warm path: it applies the
-// bound changes and attempts the LP only from the given basis,
-// reporting ok=false — with no cold fallback charged — when the basis
-// is stale. The dive uses it so a failed warm start abandons the
-// (purely heuristic) subproblem instead of paying for a cold two-phase
-// solve the warm run's budget never accounted for.
-func (w *worker) tryWarmWith(changes []boundChange, basis *simplex.Basis) (*lp.Solution, bool, error) {
-	saved := make([]boundChange, len(changes))
-	for i, ch := range changes {
-		v := w.work.Var(ch.v)
-		saved[i] = boundChange{v: ch.v, lo: v.Lower, hi: v.Upper}
-		if ch.lo > v.Upper || ch.hi < v.Lower || ch.lo > ch.hi {
-			for k := i - 1; k >= 0; k-- {
-				w.work.SetBounds(saved[k].v, saved[k].lo, saved[k].hi)
-			}
-			return &lp.Solution{Status: lp.StatusInfeasible}, true, nil
-		}
-		w.work.SetBounds(ch.v, math.Max(ch.lo, v.Lower), math.Min(ch.hi, v.Upper))
-	}
-	sol, ok, err := w.sx.TryWarm(w.work, basis)
-	for k := len(saved) - 1; k >= 0; k-- {
-		w.work.SetBounds(saved[k].v, saved[k].lo, saved[k].hi)
-	}
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	w.iterations += sol.Iterations
-	return sol, true, nil
-}
-
-// lastBasis snapshots the worker's solver basis for reuse by child
-// nodes; nil unless ReuseBasis is on and the last LP ended optimal.
-func (w *worker) lastBasis() *simplex.Basis {
-	if !w.c.opts.ReuseBasis {
-		return nil
-	}
-	return w.sx.Basis()
 }
 
 func (w *worker) takeIterations() int {
@@ -424,27 +385,11 @@ func (w *worker) dive(base []boundChange, sol *lp.Solution) error {
 			}
 		}
 		// The dive re-solves the worker's own last LP with extra fixings,
-		// so its basis is the natural warm start for the next pass. Under
-		// ReuseBasis the pass is warm-or-abandon: a stale basis abandons
-		// the dive (it is only a heuristic) rather than paying for the
-		// cold solve a cold-start run would spend on the tree instead —
-		// this is the fig6/federal+warm regression fix, where a failed
-		// warm start burned search budget without advancing any bound.
+		// so its basis is the natural warm start for the next pass.
 		var err error
-		if basis := w.lastBasis(); basis != nil {
-			var ok bool
-			cur, ok, err = w.tryWarmWith(next, basis)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		} else {
-			cur, err = w.solveWith(next, nil)
-			if err != nil {
-				return err
-			}
+		cur, err = w.solveWith(next, w.sx.Basis())
+		if err != nil {
+			return err
 		}
 		changes = next
 	}
@@ -601,7 +546,7 @@ func (c *coordinator) step(w *worker) bool {
 		default:
 			// Snapshot this node's optimal basis before the dive re-solves
 			// other LPs on the same solver; both children inherit it.
-			childBasis = w.lastBasis()
+			childBasis = w.sx.Basis()
 			// Occasional re-dive deeper in the tree keeps the incumbent
 			// fresh. nodeIdx comes from the shared counter, so the pacing
 			// matches the sequential solver when Workers=1.
@@ -712,7 +657,7 @@ func (c *coordinator) solve() (*lp.Solution, error) {
 	}
 	// The root's optimal basis seeds both first children; snapshot it
 	// before the dive re-solves other LPs on the same solver.
-	rootBasis := w0.lastBasis()
+	rootBasis := w0.sx.Basis()
 	if !c.opts.DisableDiving {
 		if err := w0.dive(nil, root); err != nil {
 			return nil, err

@@ -9,89 +9,98 @@ import (
 	"github.com/etransform/etransform/internal/lp"
 	"github.com/etransform/etransform/internal/obs"
 	"github.com/etransform/etransform/internal/resilience/faultinject"
+	"github.com/etransform/etransform/internal/simplex"
+	"github.com/etransform/etransform/internal/tol"
 )
 
-// TestWarmColdEquivalence is the warm-vs-cold equivalence property: 50
-// seeded models solved with ReuseBasis on and off must produce the same
-// certified objective, status, and limit label, at Workers 1 and 4. The
-// generator uses integer costs, so alternative optima still share an
-// exactly representable objective and the comparison can be exact.
+// TestWarmColdEquivalence checks the warm-started search against the
+// independent exhaustive-enumeration oracle: 50 seeded models (at most
+// 15 binaries each, so bruteForceMILP enumerates every point) solved at
+// Workers 1 and 4 must certify exactly the oracle's optimum. Every node
+// LP and dive pass goes through SolveFrom, so this is the end-to-end
+// check that neither a warm hit nor a cold fallback on a stale basis
+// ever changes the answer. The generator uses integer costs,
+// so the optimum is exactly representable and the comparison is exact.
 func TestWarmColdEquivalence(t *testing.T) {
 	const seeds = 50
-	for _, workers := range []int{1, 4} {
-		for seed := int64(1); seed <= seeds; seed++ {
-			m := randomObsModel(rand.New(rand.NewSource(seed)))
-			var sols [2]*lp.Solution
-			for i, reuse := range []bool{false, true} {
-				sol, err := Solve(m.Clone(), &Options{Workers: workers, ReuseBasis: reuse})
-				if err != nil {
-					t.Fatalf("workers=%d seed=%d reuse=%v: %v", workers, seed, reuse, err)
-				}
-				if sol.Status.HasSolution() {
-					if _, err := certify.CheckSolution(m, sol, nil); err != nil {
-						t.Fatalf("workers=%d seed=%d reuse=%v: certify: %v", workers, seed, reuse, err)
-					}
-				}
-				sols[i] = sol
+	for seed := int64(1); seed <= seeds; seed++ {
+		m := randomObsModel(rand.New(rand.NewSource(seed)))
+		want, feasible := bruteForceMILP(m)
+		if !feasible {
+			t.Fatalf("seed=%d: the all-zero point is feasible, yet the oracle found none", seed)
+		}
+		for _, workers := range []int{1, 4} {
+			sol, err := Solve(m.Clone(), &Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("workers=%d seed=%d: %v", workers, seed, err)
 			}
-			cold, warm := sols[0], sols[1]
-			if cold.Status != warm.Status {
-				t.Fatalf("workers=%d seed=%d: cold status %v, warm status %v",
-					workers, seed, cold.Status, warm.Status)
+			if sol.Status != lp.StatusOptimal || sol.Limit != "" {
+				t.Fatalf("workers=%d seed=%d: status %v limit %q, want optimal",
+					workers, seed, sol.Status, sol.Limit)
 			}
-			if cold.Limit != warm.Limit {
-				t.Fatalf("workers=%d seed=%d: cold limit %q, warm limit %q",
-					workers, seed, cold.Limit, warm.Limit)
+			if _, err := certify.CheckSolution(m, sol, nil); err != nil {
+				t.Fatalf("workers=%d seed=%d: certify: %v", workers, seed, err)
 			}
-			if cold.Status.HasSolution() && cold.Objective != warm.Objective {
-				t.Fatalf("workers=%d seed=%d: cold objective %v, warm objective %v",
-					workers, seed, cold.Objective, warm.Objective)
+			if sol.Objective != want {
+				t.Fatalf("workers=%d seed=%d: objective %v, oracle %v", workers, seed, sol.Objective, want)
 			}
 		}
 	}
 }
 
-// TestWarmHitsRecorded: on a model that genuinely branches, warm starts
-// must actually engage — warm_hits > 0 in the folded metrics — and
-// reach the cold run's objective.
-func TestWarmHitsRecorded(t *testing.T) {
-	m := randomObsModel(rand.New(rand.NewSource(11)))
-	cold, err := Solve(m.Clone(), &Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Status != lp.StatusOptimal || cold.Nodes < 3 {
-		t.Fatalf("seed 11 no longer branches (status %v, %d nodes); pick another seed",
-			cold.Status, cold.Nodes)
-	}
-	met := obs.NewMetrics()
-	warm, err := Solve(m.Clone(), &Options{Workers: 1, ReuseBasis: true, Metrics: met})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Status != lp.StatusOptimal || warm.Objective != cold.Objective {
-		t.Fatalf("warm (%v, %v) != cold (%v, %v)", warm.Status, warm.Objective, cold.Status, cold.Objective)
-	}
-	if hits := met.Counter(obs.MetricSimplexWarmHits); hits == 0 {
-		t.Fatal("ReuseBasis solve recorded no warm hits")
-	}
-	if met.Counter(obs.MetricSimplexPhase1Skipped) == 0 {
-		t.Fatal("warm hits without phase1_skipped")
-	}
-	if met.Counter(obs.MetricSimplexPivots) != int64(warm.Iterations) {
-		t.Fatalf("folded pivots %d != solution iterations %d",
-			met.Counter(obs.MetricSimplexPivots), warm.Iterations)
+// TestReuseBasisIgnored: the deprecated Options.ReuseBasis field selects
+// nothing, so at Workers=1 setting it either way gives the identical
+// search — same nodes, iterations and objective.
+func TestReuseBasisIgnored(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		m := randomObsModel(rand.New(rand.NewSource(seed)))
+		var sols [2]*lp.Solution
+		for i, reuse := range []bool{false, true} {
+			sol, err := Solve(m.Clone(), &Options{Workers: 1, ReuseBasis: reuse})
+			if err != nil {
+				t.Fatalf("seed=%d reuse=%v: %v", seed, reuse, err)
+			}
+			sols[i] = sol
+		}
+		a, b := sols[0], sols[1]
+		if a.Nodes != b.Nodes || a.Iterations != b.Iterations || a.Objective != b.Objective {
+			t.Fatalf("seed=%d: ReuseBasis changed the search: (%d nodes, %d iters, obj %v) vs (%d nodes, %d iters, obj %v)",
+				seed, a.Nodes, a.Iterations, a.Objective, b.Nodes, b.Iterations, b.Objective)
+		}
 	}
 }
 
-// TestWarmDeterministicAtWorkersOne: ReuseBasis must preserve the
-// Workers=1 determinism guarantee — two runs are bit-identical in
-// nodes, iterations, and objective.
+// TestWarmHitsRecorded: on a model that genuinely branches, warm starts
+// must actually engage — warm_hits > 0 in the folded metrics — with
+// the folded pivot total reconciling with the solution's iterations.
+func TestWarmHitsRecorded(t *testing.T) {
+	m := randomObsModel(rand.New(rand.NewSource(11)))
+	met := obs.NewMetrics()
+	sol, err := Solve(m, &Options{Workers: 1, Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != lp.StatusOptimal || sol.Nodes < 3 {
+		t.Fatalf("seed 11 no longer branches (status %v, %d nodes); pick another seed",
+			sol.Status, sol.Nodes)
+	}
+	if hits := met.Counter(obs.MetricSimplexWarmHits); hits == 0 {
+		t.Fatal("branching solve recorded no warm hits")
+	}
+	if met.Counter(obs.MetricSimplexPivots) != int64(sol.Iterations) {
+		t.Fatalf("folded pivots %d != solution iterations %d",
+			met.Counter(obs.MetricSimplexPivots), sol.Iterations)
+	}
+}
+
+// TestWarmDeterministicAtWorkersOne: warm-started node LPs must
+// preserve the Workers=1 determinism guarantee — two runs are
+// bit-identical in nodes, iterations, and objective.
 func TestWarmDeterministicAtWorkersOne(t *testing.T) {
 	m := randomObsModel(rand.New(rand.NewSource(23)))
 	var prev *lp.Solution
 	for run := 0; run < 2; run++ {
-		sol, err := Solve(m.Clone(), &Options{Workers: 1, ReuseBasis: true})
+		sol, err := Solve(m.Clone(), &Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,84 +123,75 @@ func TestWarmDeterministicAtWorkersOne(t *testing.T) {
 // search could never observe gap ≤ GapTol; tol.RelGap's max(1,|inc|)
 // denominator makes the proved gap an exact 0.
 func TestGapZeroOptimum(t *testing.T) {
-	for _, reuse := range []bool{false, true} {
-		m := lp.NewModel("gap-zero")
-		x := m.AddBinary("x", -1)
-		y := m.AddBinary("y", -1)
-		c := m.AddContinuous("c", 1, 1, 1)
-		m.AddRow("cap", []lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 1.5)
-		// Presolve would round the ≤1.5 row down to ≤1 and solve at the
-		// root; disable it so the zero-incumbent gap test actually
-		// exercises the branching loop's gap computation.
-		sol, err := Solve(m, &Options{Workers: 1, ReuseBasis: reuse, DisablePresolve: true})
-		if err != nil {
-			t.Fatalf("reuse=%v: %v", reuse, err)
-		}
-		if sol.Status != lp.StatusOptimal {
-			t.Fatalf("reuse=%v: status = %v, want optimal", reuse, sol.Status)
-		}
-		if sol.Objective != 0 {
-			t.Fatalf("reuse=%v: objective = %v, want exactly 0", reuse, sol.Objective)
-		}
-		if sol.Gap != 0 {
-			t.Fatalf("reuse=%v: gap = %v, want exactly 0 at proved optimum", reuse, sol.Gap)
-		}
-		if sol.Nodes < 2 {
-			t.Fatalf("reuse=%v: solved in %d nodes; model no longer forces a branch", reuse, sol.Nodes)
-		}
-		_ = c
-		if math.IsNaN(sol.Gap) || math.IsInf(sol.Gap, 0) {
-			t.Fatalf("reuse=%v: non-finite gap %v with zero incumbent", reuse, sol.Gap)
-		}
+	m := lp.NewModel("gap-zero")
+	x := m.AddBinary("x", -1)
+	y := m.AddBinary("y", -1)
+	m.AddContinuous("c", 1, 1, 1)
+	m.AddRow("cap", []lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 1.5)
+	// Presolve would round the ≤1.5 row down to ≤1 and solve at the
+	// root; disable it so the zero-incumbent gap test actually
+	// exercises the branching loop's gap computation.
+	sol, err := Solve(m, &Options{Workers: 1, DisablePresolve: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != lp.StatusOptimal {
+		t.Fatalf("status = %v, want optimal", sol.Status)
+	}
+	if sol.Objective != 0 {
+		t.Fatalf("objective = %v, want exactly 0", sol.Objective)
+	}
+	if math.IsNaN(sol.Gap) || math.IsInf(sol.Gap, 0) {
+		t.Fatalf("non-finite gap %v with zero incumbent", sol.Gap)
+	}
+	if sol.Gap != 0 {
+		t.Fatalf("gap = %v, want exactly 0 at proved optimum", sol.Gap)
+	}
+	if sol.Nodes < 2 {
+		t.Fatalf("solved in %d nodes; model no longer forces a branch", sol.Nodes)
 	}
 }
 
 // TestWarmStartDeadlineKeepsReportedGap pins the reported-gap invariant
 // behind the fig6/federal warm-start regression: when the budget expires
-// right after the root LP, a run with basis reuse enabled must report
-// exactly the same finite certified gap as the cold-start run. Before
-// the warm-or-abandon dive fix, a stale basis in the dive paid a warm
-// attempt plus a full cold fallback, so the two configurations burned
-// different budgets and the slower one could lose its root bound
-// entirely, degrading the reported gap to the unknown sentinel.
+// right after the root LP, the solve must still report the finite
+// certified gap of its root bound — never the unknown sentinel, however
+// the dive's warm starts fared. The expected gap comes from an
+// independent cold solve of the root relaxation.
 func TestWarmStartDeadlineKeepsReportedGap(t *testing.T) {
-	build := stressModels()["knapsack30"]
-	var sols [2]*lp.Solution
-	for i, reuse := range []bool{false, true} {
-		m := build()
-		// All-zeros is integral and satisfies the single <= row, so it
-		// seeds the incumbent (objective 0) before any LP runs; the
-		// injected deadline then fires at every coordinator budget
-		// check, leaving the root LP's objective as the only bound.
-		zeros := make([]float64, m.NumVars())
-		inj := faultinject.New(1, faultinject.Fault{Kind: faultinject.KindDeadline, Count: -1})
-		sol, err := Solve(m, &Options{
-			Workers:    1,
-			ReuseBasis: reuse,
-			WarmStarts: [][]float64{zeros},
-			Inject:     inj,
-		})
-		if err != nil {
-			t.Fatalf("reuse=%v: %v", reuse, err)
-		}
-		if !inj.Fired(faultinject.KindDeadline) {
-			t.Fatalf("reuse=%v: injected deadline never fired", reuse)
-		}
-		if sol.Status != lp.StatusNodeLimit || sol.Limit != lp.LimitWallClock {
-			t.Fatalf("reuse=%v: status %v limit %q, want node limit at wall clock",
-				reuse, sol.Status, sol.Limit)
-		}
-		if math.IsInf(sol.Gap, 0) || math.IsNaN(sol.Gap) {
-			t.Fatalf("reuse=%v: gap %v degraded to the unknown sentinel", reuse, sol.Gap)
-		}
-		if sol.Gap <= 0 {
-			t.Fatalf("reuse=%v: gap %v; the zero incumbent must leave a positive gap", reuse, sol.Gap)
-		}
-		sols[i] = sol
+	m := stressModels()["knapsack30"]()
+	root, err := simplex.Solve(m.Relax(), nil)
+	if err != nil || root.Status != lp.StatusOptimal {
+		t.Fatalf("root relaxation: status %v, err %v", root.Status, err)
 	}
-	cold, warm := sols[0], sols[1]
-	if warm.Gap != cold.Gap || warm.Objective != cold.Objective {
-		t.Fatalf("warm (gap %v, obj %v) != cold (gap %v, obj %v): basis reuse changed the reported bound",
-			warm.Gap, warm.Objective, cold.Gap, cold.Objective)
+	// All-zeros is integral and satisfies the single <= row, so it
+	// seeds the incumbent (objective 0) before any LP runs; the
+	// injected deadline then fires at every coordinator budget check,
+	// leaving the root LP's objective as the only bound.
+	zeros := make([]float64, m.NumVars())
+	inj := faultinject.New(1, faultinject.Fault{Kind: faultinject.KindDeadline, Count: -1})
+	sol, err := Solve(m, &Options{
+		Workers:    1,
+		WarmStarts: [][]float64{zeros},
+		Inject:     inj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inj.Fired(faultinject.KindDeadline) {
+		t.Fatal("injected deadline never fired")
+	}
+	if sol.Status != lp.StatusNodeLimit || sol.Limit != lp.LimitWallClock {
+		t.Fatalf("status %v limit %q, want node limit at wall clock", sol.Status, sol.Limit)
+	}
+	if math.IsInf(sol.Gap, 0) || math.IsNaN(sol.Gap) {
+		t.Fatalf("gap %v degraded to the unknown sentinel", sol.Gap)
+	}
+	if sol.Gap <= 0 {
+		t.Fatalf("gap %v; the zero incumbent must leave a positive gap", sol.Gap)
+	}
+	want := tol.RelGap(0, root.Objective)
+	if math.Abs(sol.Gap-want) > 1e-9*math.Max(1, want) {
+		t.Fatalf("reported gap %v, want the root bound's gap %v", sol.Gap, want)
 	}
 }

@@ -38,12 +38,12 @@ type BenchScenario struct {
 	// Cost is the plan's objective (total monthly cost), the quantity
 	// the paper's figures track.
 	Cost float64 `json:"cost,omitempty"`
-	// Warm marks a solve that ran with parent-basis warm starts
-	// (milp.Options.ReuseBasis); the companion cold scenario shares the
-	// name minus the "+warm" suffix. WarmHits/WarmMisses count node LPs
-	// that did and did not accept the parent basis, Phase1Skipped the
-	// phase-1 runs the warm path avoided (equals WarmHits today; kept
-	// separate so the invariant is visible in artifacts).
+	// WarmHits/WarmMisses count node LPs that did and did not accept
+	// the parent basis. Warm and Phase1Skipped are historical: BENCH_5–7
+	// carry "+warm" rows (Warm true) re-solved with the then opt-in
+	// parent-basis reuse, and a phase-1 skip counter that always equalled
+	// WarmHits. Every node LP is warm-started now, so etbench writes
+	// neither; the fields stay only so those artifacts still parse.
 	Warm          bool  `json:"warm,omitempty"`
 	WarmHits      int64 `json:"warm_hits,omitempty"`
 	WarmMisses    int64 `json:"warm_misses,omitempty"`

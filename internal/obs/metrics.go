@@ -28,10 +28,9 @@ const (
 	// restoration). DualPivots counts the dual-simplex pivots spent
 	// restoring primal feasibility; they are also included in
 	// MetricSimplexPivots so pivot totals reconcile with iterations.
-	MetricSimplexWarmHits      = "simplex.warm_hits"
-	MetricSimplexWarmMisses    = "simplex.warm_misses"
-	MetricSimplexPhase1Skipped = "simplex.phase1_skipped"
-	MetricSimplexDualPivots    = "simplex.dual_pivots"
+	MetricSimplexWarmHits   = "simplex.warm_hits"
+	MetricSimplexWarmMisses = "simplex.warm_misses"
+	MetricSimplexDualPivots = "simplex.dual_pivots"
 
 	// Sparse-engine counters. Factorizations counts every sparse-LU
 	// build (initial, eta-cap, drift, tiny-pivot recovery) — a superset

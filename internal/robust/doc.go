@@ -19,7 +19,7 @@
 //     tie-breaks), each candidate independently re-certified against
 //     the nominal MILP before it may be chosen.
 //
-// Replay is a hard guarantee, in the same spirit as the warm/cold and
+// Replay is a hard guarantee, in the same spirit as the warm-start and
 // dense/sparse equivalence suites: sample i's inputs come from a
 // dedicated RNG seeded by mix(seed, i), per-sample solves run the
 // deterministic Workers=1 branch & bound, and results are folded in

@@ -28,7 +28,6 @@ type optionsFingerprint struct {
 	MaxNodes         int              `json:"nodes"`
 	TimeLimit        time.Duration    `json:"timelimit"`
 	Workers          int              `json:"workers"`
-	ReuseBasis       bool             `json:"warmlp"`
 	Cuts             bool             `json:"cuts"`
 	Kernel           bool             `json:"kernel"`
 	MemoryBytes      int64            `json:"membudget"`
@@ -55,7 +54,6 @@ func cacheKey(state *model.AsIsState, opts core.Options) (string, error) {
 		MaxNodes:         opts.Solver.MaxNodes,
 		TimeLimit:        opts.Solver.TimeLimit,
 		Workers:          opts.Solver.Workers,
-		ReuseBasis:       opts.Solver.ReuseBasis,
 		Cuts:             opts.Solver.Cuts.Enable,
 		Kernel:           opts.Solver.Kernel.Enable,
 		MemoryBytes:      opts.Solver.Budget.MemoryBytes,

@@ -131,11 +131,6 @@ func (s *Server) solvePlan(ctx context.Context, j *job) (*model.Plan, error) {
 	} else {
 		opts.Solver.Trace = obs.New(j.tail)
 	}
-	if j.seed != nil {
-		// Warm re-plan: start from the previous plan's assignment and
-		// reuse parent simplex bases down the tree.
-		opts.Solver.ReuseBasis = true
-	}
 	planner, err := core.New(j.state, opts)
 	if err != nil {
 		return nil, err

@@ -16,9 +16,9 @@
 //     later submissions without solving, with hit/miss counters in the
 //     serve.* metrics.
 //   - Warm re-planning: POST /v1/plans?prev=<id> seeds the new solve
-//     with the previous job's assignment (core.Planner.SeedPlan) and
-//     turns on basis reuse, so small edits re-prove optimality quickly
-//     instead of starting from nothing.
+//     with the previous job's assignment (core.Planner.SeedPlan), so
+//     small edits re-prove optimality quickly instead of starting from
+//     nothing.
 //
 // Endpoints:
 //

@@ -191,14 +191,13 @@ type tableau struct {
 	p1Iters    int
 	degenTotal int
 	blandFlips int
-	// Warm-start counters (see warm.go). warmHits/p1Skipped mark a solve
-	// that completed on the warm path; warmMisses marks a solve that was
-	// offered a basis but ran the cold two-phase path; dualPivots counts
-	// dual-simplex restoration pivots (also included in iters, so pivot
-	// totals keep reconciling with Solution.Iterations).
+	// Warm-start counters (see warm.go). warmHits marks a solve that
+	// completed on the warm path (phase 1 skipped); warmMisses marks a
+	// solve that was offered a basis but ran the cold two-phase path;
+	// dualPivots counts dual-simplex restoration pivots (also included in
+	// iters, so pivot totals keep reconciling with Solution.Iterations).
 	warmHits   int
 	warmMisses int
-	p1Skipped  int
 	dualPivots int
 	// Sparse-engine counters: basis factorizations (initial, periodic
 	// and recovery), eta updates appended between them, columns examined
@@ -242,7 +241,6 @@ func (t *tableau) reset(model *lp.Model, opts *Options) error {
 	t.blandFlips = 0
 	t.warmHits = 0
 	t.warmMisses = 0
-	t.p1Skipped = 0
 	t.dualPivots = 0
 	t.lastOptimal = false
 	t.limit = ""
@@ -1053,9 +1051,6 @@ func (t *tableau) foldMetrics() {
 	}
 	if t.warmMisses > 0 {
 		m.Add(obs.MetricSimplexWarmMisses, int64(t.warmMisses))
-	}
-	if t.p1Skipped > 0 {
-		m.Add(obs.MetricSimplexPhase1Skipped, int64(t.p1Skipped))
 	}
 	if t.dualPivots > 0 {
 		m.Add(obs.MetricSimplexDualPivots, int64(t.dualPivots))

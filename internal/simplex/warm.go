@@ -136,44 +136,6 @@ func (s *Solver) SolveFromContext(ctx context.Context, model *lp.Model, basis *B
 	return s.solve(ctx, model, basis)
 }
 
-// TryWarm attempts the warm path from basis WITHOUT the cold fallback
-// SolveFrom would run on a stale basis: ok=false means the basis could
-// not be restored here (wrong shape, invalid statuses under the current
-// bounds, singular, or dual restoration stalled) and only the staleness
-// detection was paid — no two-phase solve ran, and the abandoned pivots
-// are excluded from any returned iteration counts exactly as on
-// SolveFrom's miss path.
-//
-// The intended caller is a heuristic (the branch & bound dive) that
-// would rather abandon the subproblem than pay a full cold solve its
-// budget never accounted for: a failed warm start must cost its
-// detection, not a duplicated solve. A nil basis reports ok=false
-// immediately.
-func (s *Solver) TryWarm(model *lp.Model, basis *Basis) (sol *lp.Solution, ok bool, err error) {
-	if basis == nil {
-		return nil, false, nil
-	}
-	if err := model.Err(); err != nil {
-		return nil, false, fmt.Errorf("simplex: invalid model: %w", err)
-	}
-	if model.NumVars() == 0 {
-		return nil, false, nil
-	}
-	if err := s.t.reset(model, &s.opts); err != nil {
-		return nil, false, err
-	}
-	s.t.ctx = nil
-	sol, done, err := s.t.solveWarm(basis)
-	if !done {
-		s.t.warmMisses = 1
-	}
-	s.t.foldMetrics()
-	if err != nil || !done {
-		return nil, false, err
-	}
-	return sol, true, nil
-}
-
 // solveWarm attempts the warm path from basis b on the freshly reset
 // tableau. done reports that the attempt produced a final outcome
 // (solution or error) and the caller must not run the cold path; done
@@ -193,7 +155,6 @@ func (t *tableau) solveWarm(b *Basis) (sol *lp.Solution, done bool, err error) {
 		return &lp.Solution{Status: lp.StatusIterLimit, Iterations: t.iters, Limit: t.limit}, true, nil
 	}
 	t.warmHits = 1
-	t.p1Skipped = 1
 	sol, err = t.finishPhase2()
 	return sol, true, err
 }

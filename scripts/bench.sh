@@ -8,10 +8,10 @@
 #   docs/benchmarks/BENCH_<n>.json      machine-readable: schema
 #                                       etransform-bench/v1 (obs.BenchReport),
 #                                       one record per case-study solve,
-#                                       each dataset solved cold and again
-#                                       with warm-started node LPs (the
-#                                       "+warm" scenarios carry warm_hits /
-#                                       warm_misses / phase1_skipped).
+#                                       each dataset solved with the
+#                                       default options and again with
+#                                       root cuts + kernel search (the
+#                                       "+cuts" scenarios).
 #                                       <n> is one past the highest
 #                                       BENCH_*.json already checked in,
 #                                       so each PR's run lands in a fresh

@@ -10,10 +10,10 @@
 #                  convert to coordinator errors, not earn new markers
 #   4. go test     full suite under the race detector
 #   5. milp race   the parallel branch & bound, twice, under -race
-#   6. warm/cold   the warm-start equivalence suite (simplex SolveFrom
-#                  plus the milp ReuseBasis property tests), under -race:
-#                  warm and cold solves must agree on certified
-#                  objective, status and limit label
+#   6. warm start  the warm-start suite, under -race: simplex SolveFrom
+#                  must match a cold Solve, and the warm-started branch &
+#                  bound must certify the brute-force optimum at workers
+#                  1 and 4 and ignore the deprecated ReuseBasis field
 #   7. obs cover   internal/obs must hold >= 70% statement coverage —
 #                  the observability layer is what every other number in
 #                  a trace or metrics file is trusted against
@@ -73,8 +73,8 @@ go test -race ./...
 echo "==> go test -race -count=2 ./internal/milp/..."
 go test -race -count=2 ./internal/milp/...
 
-echo "==> warm/cold equivalence suite (-race)"
-go test -race -run 'Warm|GapZero' ./internal/simplex ./internal/milp
+echo "==> warm-start suite (-race)"
+go test -race -run 'Warm|GapZero|ReuseBasis' ./internal/simplex ./internal/milp
 
 echo "==> internal/obs coverage floor (70%)"
 cover=$(go test -cover ./internal/obs | awk '{for (i=1;i<=NF;i++) if ($i ~ /%$/) {sub(/%/,"",$i); print $i}}')
