@@ -167,9 +167,9 @@ func run(args []string) error {
 	// The -json report accumulates one scenario per fig4/fig6 case-study
 	// solve, appended in the fixed render order so the artifact is as
 	// deterministic as the text output. With -json set, each dataset is
-	// additionally re-solved with root cuts and kernel search so the
-	// artifact carries a baseline/"+cuts" pair per dataset; counters come
-	// from the metrics snapshot the solve embeds in its stats.
+	// additionally re-solved with root cuts so the artifact carries a
+	// baseline/"+cuts" pair per dataset; counters come from the metrics
+	// snapshot the solve embeds in its stats.
 	var benchScenarios []obs.BenchScenario
 
 	scenario := func(name string, dr bool, res *experiments.CaseStudyResult) obs.BenchScenario {
@@ -196,7 +196,6 @@ func run(args []string) error {
 			s.RefactorDriftMax = m.Gauges[obs.MetricSimplexRefactorDriftMax]
 			s.CutsSeparated = m.Counters[obs.MetricMILPCutsSeparated]
 			s.CutsActive = m.Counters[obs.MetricMILPCutsActive]
-			s.KernelIncumbents = m.Counters[obs.MetricMILPKernelIncumbents]
 		}
 		return s
 	}
@@ -225,7 +224,6 @@ func run(args []string) error {
 				}
 				scCuts := scCold
 				scCuts.Cuts = true
-				scCuts.Kernel = true
 				cutsResults[i], errs[i] = experiments.CaseStudy(cfgs[i], scCuts, dr)
 			}(i)
 		}
@@ -243,9 +241,9 @@ func run(args []string) error {
 			if cres := cutsResults[i]; cres != nil {
 				cs := scenario(fig+"/"+cfg.Name+"+cuts", dr, cres)
 				cs.CutsEnabled = true
-				fmt.Printf("cuts+kernel re-solve: %d nodes, %d iterations, wall %dms, gap %.2g, %d cuts (%d active), %d kernel incumbents, cost Δ %+.2f\n\n",
+				fmt.Printf("cuts re-solve: %d nodes, %d iterations, wall %dms, gap %.2g, %d cuts (%d active), cost Δ %+.2f\n\n",
 					cres.Stats.Nodes, cres.Stats.Iterations, cres.Stats.WallMillis, cres.Stats.Gap,
-					cs.CutsSeparated, cs.CutsActive, cs.KernelIncumbents,
+					cs.CutsSeparated, cs.CutsActive,
 					cres.Cost("ETRANSFORM")-res.Cost("ETRANSFORM"))
 				benchScenarios = append(benchScenarios, cs)
 			}

@@ -96,7 +96,6 @@ func run(args []string) (degraded bool, err error) {
 	memBudget := fs.Int64("membudget", 0, "open-node queue memory budget in bytes (0 = unlimited)")
 	workers := fs.Int("workers", 0, "branch & bound worker goroutines (0 = all CPUs, 1 = deterministic)")
 	cutsOn := fs.Bool("cuts", false, "separate Gomory and cover cuts at the root (same answer, tighter bound)")
-	kernelOn := fs.Bool("kernel", false, "run the kernel-search primal heuristic at the root (same answer, earlier incumbents)")
 	traceOut := fs.String("trace", "", "write a structured JSONL solve trace to this file (byte-stable at -workers 1)")
 	metricsOut := fs.String("metrics", "", "write the solve metrics snapshot JSON to this file")
 	profileDir := fs.String("profile", "", "write cpu.pprof and heap.pprof profiles into this directory")
@@ -154,16 +153,15 @@ func run(args []string) (degraded bool, err error) {
 		Aggregate:           *aggregate,
 		CandidateK:          *candidates,
 		Solver: milp.Options{
-			GapTol:    *gap,
-			MaxNodes:  *nodes,
-			TimeLimit: *timeLimit,
-			Workers:   *workers,
-			Cuts:      cuts.Options{Enable: *cutsOn},
-			Kernel:    milp.KernelOptions{Enable: *kernelOn},
-			Budget:    milp.Budget{MemoryBytes: *memBudget},
-			Inject:    inject,
-			Trace:     obsrv.Tracer,
-			Metrics:   obsrv.Metrics,
+			GapTol:      *gap,
+			MaxNodes:    *nodes,
+			TimeLimit:   *timeLimit,
+			MemoryBytes: *memBudget,
+			Workers:     *workers,
+			Cuts:        cuts.Options{Enable: *cutsOn},
+			Inject:      inject,
+			Trace:       obsrv.Tracer,
+			Metrics:     obsrv.Metrics,
 		},
 	}
 	if *robustSpec != "" {

@@ -81,7 +81,6 @@ func run(args []string) error {
 	memBudget := fs.Int64("membudget", 0, "open-node queue memory budget in bytes (0 = unlimited)")
 	workers := fs.Int("workers", 0, "branch & bound worker goroutines per job (0 = all CPUs, 1 = deterministic traces)")
 	cutsOn := fs.Bool("cuts", false, "separate Gomory and cover cuts at the root")
-	kernelOn := fs.Bool("kernel", false, "run the kernel-search primal heuristic at the root")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -104,13 +103,12 @@ func run(args []string) error {
 		Aggregate:           *aggregate,
 		CandidateK:          *candidates,
 		Solver: milp.Options{
-			GapTol:    *gap,
-			MaxNodes:  *nodes,
-			TimeLimit: *timeLimit,
-			Workers:   *workers,
-			Cuts:      cuts.Options{Enable: *cutsOn},
-			Kernel:    milp.KernelOptions{Enable: *kernelOn},
-			Budget:    milp.Budget{MemoryBytes: *memBudget},
+			GapTol:      *gap,
+			MaxNodes:    *nodes,
+			TimeLimit:   *timeLimit,
+			MemoryBytes: *memBudget,
+			Workers:     *workers,
+			Cuts:        cuts.Options{Enable: *cutsOn},
 		},
 	}
 

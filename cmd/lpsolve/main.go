@@ -64,7 +64,6 @@ func run(args []string) (degraded bool, err error) {
 	memBudget := fs.Int64("membudget", 0, "open-node queue memory budget in bytes (0 = unlimited)")
 	workers := fs.Int("workers", 0, "branch & bound worker goroutines (0 = all CPUs, 1 = deterministic)")
 	cutsOn := fs.Bool("cuts", false, "separate Gomory and cover cuts at the root (same answer, tighter bound)")
-	kernelOn := fs.Bool("kernel", false, "run the kernel-search primal heuristic at the root (same answer, earlier incumbents)")
 	traceOut := fs.String("trace", "", "write a structured JSONL solve trace to this file (byte-stable at -workers 1)")
 	metricsOut := fs.String("metrics", "", "write the solve metrics snapshot JSON to this file")
 	profileDir := fs.String("profile", "", "write cpu.pprof and heap.pprof profiles into this directory")
@@ -116,12 +115,11 @@ func run(args []string) (degraded bool, err error) {
 	start := time.Now()
 	sol, err := milp.SolveContext(ctx, m, &milp.Options{
 		GapTol: *gap, MaxNodes: *nodes, TimeLimit: *timeLimit, Workers: *workers,
-		Cuts:    cuts.Options{Enable: *cutsOn},
-		Kernel:  milp.KernelOptions{Enable: *kernelOn},
-		Budget:  milp.Budget{MemoryBytes: *memBudget},
-		Inject:  inject,
-		Trace:   obsrv.Tracer,
-		Metrics: obsrv.Metrics,
+		MemoryBytes: *memBudget,
+		Cuts:        cuts.Options{Enable: *cutsOn},
+		Inject:      inject,
+		Trace:       obsrv.Tracer,
+		Metrics:     obsrv.Metrics,
 	})
 	canceled := err != nil && errors.Is(err, context.Canceled) && sol != nil
 	if err != nil && !canceled {

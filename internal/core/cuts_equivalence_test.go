@@ -10,15 +10,13 @@ import (
 	"github.com/etransform/etransform/internal/milp/cuts"
 )
 
-// TestCutsKernelEquivalenceScenarios is the end-to-end safety suite for
-// the root cutting planes and the kernel-search heuristic: on the same
-// bundled scenario matrix as the dense/sparse equivalence test, every
-// combination of {cuts off/on} × {kernel off/on} × {workers 1, 4} must
-// certify the identical objective. Cuts may only tighten the dual
-// bound and the kernel may only feed incumbents — any drift in the
-// certified optimum means a cut deleted a feasible point or the
-// heuristic leaked an unverified solution.
-func TestCutsKernelEquivalenceScenarios(t *testing.T) {
+// TestCutsEquivalenceScenarios is the end-to-end safety suite for the
+// root cutting planes: on the same bundled scenario matrix as the
+// dense/sparse equivalence test, every combination of {cuts off/on} ×
+// {workers 1, 4} must certify the identical objective. Cuts may only
+// tighten the dual bound — any drift in the certified optimum means a
+// cut deleted a feasible point.
+func TestCutsEquivalenceScenarios(t *testing.T) {
 	scenarios := []struct {
 		name string
 		cfg  datagen.CaseStudyConfig
@@ -37,42 +35,39 @@ func TestCutsKernelEquivalenceScenarios(t *testing.T) {
 		var ref float64
 		haveRef := false
 		for _, enableCuts := range []bool{false, true} {
-			for _, enableKernel := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					p, err := New(s, Options{
-						Aggregate: true,
-						DR:        sc.dr,
-						Solver: milp.Options{
-							Workers:   workers,
-							MaxNodes:  50000,
-							TimeLimit: 2 * time.Minute,
-							Cuts:      cuts.Options{Enable: enableCuts},
-							Kernel:    milp.KernelOptions{Enable: enableKernel},
-						},
-					})
-					if err != nil {
-						t.Fatalf("%s: New: %v", sc.name, err)
-					}
-					plan, err := p.Solve()
-					if err != nil {
-						t.Fatalf("%s cuts=%v kernel=%v w=%d: %v", sc.name, enableCuts, enableKernel, workers, err)
-					}
-					if plan.Stats.Certificate == "" {
-						t.Fatalf("%s cuts=%v kernel=%v w=%d: no certificate", sc.name, enableCuts, enableKernel, workers)
-					}
-					if plan.Stats.Gap > 1e-9 {
-						t.Fatalf("%s cuts=%v kernel=%v w=%d: not proven optimal (gap %v)",
-							sc.name, enableCuts, enableKernel, workers, plan.Stats.Gap)
-					}
-					total := plan.Cost.Total()
-					if !haveRef {
-						ref, haveRef = total, true
-						continue
-					}
-					if d := math.Abs(total - ref); d > 1e-6*math.Max(1, math.Abs(ref)) {
-						t.Errorf("%s cuts=%v kernel=%v w=%d: certified %v, want %v (diff %g)",
-							sc.name, enableCuts, enableKernel, workers, total, ref, d)
-					}
+			for _, workers := range []int{1, 4} {
+				p, err := New(s, Options{
+					Aggregate: true,
+					DR:        sc.dr,
+					Solver: milp.Options{
+						Workers:   workers,
+						MaxNodes:  50000,
+						TimeLimit: 2 * time.Minute,
+						Cuts:      cuts.Options{Enable: enableCuts},
+					},
+				})
+				if err != nil {
+					t.Fatalf("%s: New: %v", sc.name, err)
+				}
+				plan, err := p.Solve()
+				if err != nil {
+					t.Fatalf("%s cuts=%v w=%d: %v", sc.name, enableCuts, workers, err)
+				}
+				if plan.Stats.Certificate == "" {
+					t.Fatalf("%s cuts=%v w=%d: no certificate", sc.name, enableCuts, workers)
+				}
+				if plan.Stats.Gap > 1e-9 {
+					t.Fatalf("%s cuts=%v w=%d: not proven optimal (gap %v)",
+						sc.name, enableCuts, workers, plan.Stats.Gap)
+				}
+				total := plan.Cost.Total()
+				if !haveRef {
+					ref, haveRef = total, true
+					continue
+				}
+				if d := math.Abs(total - ref); d > 1e-6*math.Max(1, math.Abs(ref)) {
+					t.Errorf("%s cuts=%v w=%d: certified %v, want %v (diff %g)",
+						sc.name, enableCuts, workers, total, ref, d)
 				}
 			}
 		}

@@ -268,9 +268,6 @@ func degradeReason(sol *lp.Solution) string {
 // limit (the zero time means unbounded).
 func (p *Planner) stageDeadline() time.Time {
 	wall := p.opts.Solver.TimeLimit
-	if b := p.opts.Solver.Budget.Wall; b > 0 && (wall <= 0 || b < wall) {
-		wall = b
-	}
 	if wall <= 0 {
 		return time.Time{}
 	}

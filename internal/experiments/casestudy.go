@@ -58,9 +58,6 @@ type Scale struct {
 	// (milp.Options.Cuts). Same certified answers, tighter dual bound;
 	// off by default.
 	Cuts bool
-	// Kernel runs the kernel-search primal heuristic at the root
-	// (milp.Options.Kernel). Same certified answers, earlier incumbents.
-	Kernel bool
 	// CollectMetrics arms an observability registry on each solve so the
 	// result's SolveStats.Metrics snapshot carries the solver counters
 	// (pivots, warm hits, factorizations, …). Off by default: metrics
@@ -90,7 +87,6 @@ func (sc Scale) solver() milp.Options {
 		GapTol: sc.GapTol, MaxNodes: sc.MaxNodes, TimeLimit: sc.TimeLimit,
 		Workers: workers,
 		Cuts:    cuts.Options{Enable: sc.Cuts},
-		Kernel:  milp.KernelOptions{Enable: sc.Kernel},
 	}
 	if sc.CollectMetrics {
 		o.Metrics = obs.NewMetrics()

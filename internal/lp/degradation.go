@@ -2,8 +2,9 @@ package lp
 
 // Limit names, recorded in Solution.Limit when a budget dimension ends a
 // search before optimality is proven. This is the single authoritative
-// set: Solution.Limit, DegradationReport.Limit and milp.Budget all speak
-// these strings and no others.
+// set: Solution.Limit and DegradationReport.Limit speak these strings
+// and no others, and branch & bound names each of its limits
+// (milp.Options MaxNodes, TimeLimit and MemoryBytes) with one of them.
 const (
 	// LimitWallClock means a wall-clock budget expired: the solve-wide
 	// deadline in branch & bound, or Options.Deadline inside a simplex

@@ -65,7 +65,7 @@ func TestLimitPairMILPNodes(t *testing.T) {
 
 func TestLimitPairMILPMemory(t *testing.T) {
 	sol := solveOrFatal(t, limitKnapsack(), &Options{
-		Budget: Budget{MemoryBytes: 1}, GapTol: 1e-12, DisableDiving: true, Workers: 1,
+		MemoryBytes: 1, GapTol: 1e-12, DisableDiving: true, Workers: 1,
 	})
 	assertPair(t, sol, lp.StatusNodeLimit, lp.LimitMemory)
 }

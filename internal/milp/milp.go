@@ -15,26 +15,6 @@ import (
 	"github.com/etransform/etransform/internal/tol"
 )
 
-// Budget bounds a whole solve across several dimensions at once. Hitting
-// any dimension is a graceful stop: the best incumbent is surrendered
-// with its certified gap, Status lp.StatusNodeLimit, and Solution.Limit
-// naming the dimension that tripped. The zero value imposes no extra
-// bounds beyond Options.MaxNodes/TimeLimit.
-type Budget struct {
-	// Wall caps wall-clock time; it composes with Options.TimeLimit (the
-	// earlier of the two wins). 0 means no wall budget.
-	Wall time.Duration
-	// Nodes caps explored branch & bound nodes; it composes with
-	// Options.MaxNodes (the smaller wins). 0 means no extra node budget.
-	Nodes int
-	// MemoryBytes caps the estimated memory held by *open* nodes (the
-	// frontier queue — the only part of the search whose footprint grows
-	// without bound). 0 means no memory budget. The estimate counts node
-	// structs and their bound-change lists, not the fixed per-worker
-	// model clones.
-	MemoryBytes int64
-}
-
 // Options control a branch & bound solve. The zero value applies
 // defaults suitable for the planner's models.
 type Options struct {
@@ -54,10 +34,16 @@ type Options struct {
 	// limit at or before the context deadline always yields the graceful
 	// lp.StatusNodeLimit — regardless of scheduling jitter at expiry.
 	TimeLimit time.Duration
-	// Budget bounds the solve across wall clock, nodes and open-node
-	// memory at once; see Budget. Each dimension composes with the
-	// corresponding single-dimension option (earlier/smaller wins).
-	Budget Budget
+	// MemoryBytes caps the estimated memory held by *open* nodes (the
+	// frontier queue — the only part of the search whose footprint grows
+	// without bound). 0 means no memory budget. The estimate counts node
+	// structs, their bound-change lists and their parent basis
+	// snapshots, not the fixed per-worker model clones. Hitting it is
+	// the same graceful stop as MaxNodes and TimeLimit: the best
+	// incumbent is surrendered with its certified gap, Status
+	// lp.StatusNodeLimit, and Solution.Limit naming the limit that
+	// tripped.
+	MemoryBytes int64
 	// PerturbSeed, when nonzero, deterministically permutes the order
 	// integer variables are scanned for branching (and therefore the
 	// whole tree shape). The fallback pipeline uses it to retry a failed
@@ -75,15 +61,11 @@ type Options struct {
 	// supplied by the caller; each feasible one seeds the incumbent
 	// before search begins. Infeasible candidates are ignored.
 	WarmStarts [][]float64
-	// Deprecated: ignored. Every node LP, dive pass and kernel
-	// sub-solve is warm-started from its parent's optimal basis
-	// (simplex.Solver.SolveFrom, which falls back to the cold two-phase
-	// solve when the basis is stale); the field no longer selects
-	// anything and will be removed.
+	// Deprecated: ignored. Every node LP and dive pass is warm-started
+	// from its parent's optimal basis (simplex.Solver.SolveFrom, which
+	// falls back to the cold two-phase solve when the basis is stale);
+	// the field no longer selects anything and will be removed.
 	ReuseBasis bool
-	// MaxDiveDepth bounds the diving heuristic's fixing passes.
-	// Default 200.
-	MaxDiveDepth int
 	// DisablePresolve turns off the bound-tightening presolve pass.
 	DisablePresolve bool
 	// Trace, when non-nil, receives structured solve events: solve
@@ -110,12 +92,6 @@ type Options struct {
 	// a wrong cut could only weaken the bound side, never certify an
 	// infeasible plan.
 	Cuts cuts.Options
-	// Kernel configures the kernel-search primal heuristic (see
-	// kernel.go): after the root LP (and cut rounds), restricted MILPs
-	// over the LP support plus best-reduced-cost buckets are solved
-	// under a node budget to seed the shared incumbent early. Off by
-	// default for the same byte-stability reason.
-	Kernel KernelOptions
 	// Workers is the number of branch & bound worker goroutines that
 	// pull nodes from the shared best-bound queue. 0 selects
 	// runtime.NumCPU(). Workers=1 runs the fully sequential search and
@@ -138,9 +114,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.MaxNodes <= 0 {
 		out.MaxNodes = 200000
-	}
-	if out.MaxDiveDepth <= 0 {
-		out.MaxDiveDepth = 200
 	}
 	if out.Workers <= 0 {
 		out.Workers = runtime.NumCPU()
@@ -207,13 +180,7 @@ func SolveContext(ctx context.Context, model *lp.Model, opts *Options) (*lp.Solu
 		return nil, fmt.Errorf("milp: invalid model: %w", err)
 	}
 	o := opts.withDefaults()
-	if o.Budget.Nodes > 0 && o.Budget.Nodes < o.MaxNodes {
-		o.MaxNodes = o.Budget.Nodes
-	}
 	c := newCoordinator(ctx, o, model.Clone())
-	// The kernel heuristic launches recursive restricted solves and needs
-	// the full context, not just the Err-polling subset.
-	c.goCtx = ctx
 	for j := 0; j < model.NumVars(); j++ {
 		if model.Var(lp.VarID(j)).Type != lp.Continuous {
 			c.intVars = append(c.intVars, lp.VarID(j))
@@ -236,17 +203,13 @@ func SolveContext(ctx context.Context, model *lp.Model, opts *Options) (*lp.Solu
 			return &lp.Solution{Status: lp.StatusInfeasible}, nil
 		}
 	}
-	// Unify the option wall limits with the context deadline: the
+	// Unify the option wall limit with the context deadline: the
 	// earliest wins, and *which* configured source is earliest decides
 	// the terminal status up front (StatusNodeLimit for option limits,
 	// StatusCanceled for a strictly earlier context deadline), so expiry
 	// races cannot flip the outcome between runs.
-	wall := o.TimeLimit
-	if o.Budget.Wall > 0 && (wall <= 0 || o.Budget.Wall < wall) {
-		wall = o.Budget.Wall
-	}
-	if wall > 0 {
-		c.deadline = c.start.Add(wall)
+	if o.TimeLimit > 0 {
+		c.deadline = c.start.Add(o.TimeLimit)
 	}
 	if ctxDeadline, ok := ctx.Deadline(); ok {
 		if c.deadline.IsZero() || ctxDeadline.Before(c.deadline) {
@@ -254,7 +217,6 @@ func SolveContext(ctx context.Context, model *lp.Model, opts *Options) (*lp.Solu
 			c.deadlineIsCtx = true
 		}
 	}
-	c.memLimit = o.Budget.MemoryBytes
 	if !c.deadline.IsZero() {
 		// Per-worker simplex engines observe the same wall deadline, so a
 		// single long node LP cannot overrun the solve-wide budget.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/etransform/etransform/internal/lp"
+	"github.com/etransform/etransform/internal/milp/cuts"
 	"github.com/etransform/etransform/internal/obs"
 )
 
@@ -41,130 +42,142 @@ func randomObsModel(rng *rand.Rand) *lp.Model {
 }
 
 // TestObsReconciliation is the metrics/trace/solution reconciliation
-// property: across 50 seeded solves at Workers 1 and 4, every quantity
-// the observability layer reports must agree with the lp.Solution the
-// solver returned — same totals, same per-worker split, same incumbent
-// count, monotone incumbents, and a (Status, Limit) pair ValidLimit
-// accepts.
+// property: across 50 seeded solves at Workers 1 and 4, with root cuts
+// off and on, every quantity the observability layer reports must agree
+// with the lp.Solution the solver returned — same totals, same
+// per-worker split, same incumbent count, monotone incumbents, and a
+// (Status, Limit) pair ValidLimit accepts. The cuts axis locks the
+// accounting of the one opt-in root phase: its LP pivots must reach
+// both Solution.Iterations and the pivot counters.
 func TestObsReconciliation(t *testing.T) {
 	const seeds = 50
-	for _, workers := range []int{1, 4} {
-		for seed := int64(1); seed <= seeds; seed++ {
-			m := randomObsModel(rand.New(rand.NewSource(seed)))
-			met := obs.NewMetrics()
-			sink := &obs.MemorySink{}
-			sol, err := Solve(m, &Options{
-				Workers: workers,
-				Trace:   obs.NewDeterministic(sink),
-				Metrics: met,
-			})
-			if err != nil {
-				t.Fatalf("workers=%d seed=%d: %v", workers, seed, err)
-			}
-			events := sink.Events()
-			// Keep the seed in every failure so a property violation
-			// replays with one -run invocation.
-			fatalf := func(format string, args ...any) {
-				t.Helper()
-				t.Fatalf("workers=%d seed=%d: %s", workers, seed, fmt.Sprintf(format, args...))
-			}
-
-			if !lp.ValidLimit(sol.Status, sol.Limit) {
-				fatalf("invalid pair (%v, %q)", sol.Status, sol.Limit)
-			}
-
-			// Counters mirror the solution's totals exactly.
-			if got := met.Counter(obs.MetricMILPSolves); got != 1 {
-				fatalf("milp.solves = %d", got)
-			}
-			if got := met.Counter(obs.MetricMILPNodes); got != int64(sol.Nodes) {
-				fatalf("milp.nodes = %d, sol.Nodes = %d", got, sol.Nodes)
-			}
-			if got := met.Counter(obs.MetricSimplexPivots); got != int64(sol.Iterations) {
-				fatalf("simplex.pivots = %d, sol.Iterations = %d", got, sol.Iterations)
-			}
-			if got := met.Counter(obs.MetricMILPWallMicros); got != sol.WallTime.Microseconds() {
-				fatalf("milp.wall_us = %d, sol.WallTime = %v", got, sol.WallTime)
-			}
-			if got := met.Counter(obs.MetricMILPWorkMicros); got != sol.WorkTime.Microseconds() {
-				fatalf("milp.work_us = %d, sol.WorkTime = %v", got, sol.WorkTime)
-			}
-
-			// Per-worker node counters reproduce NodesPerWorker, whose
-			// entries sum to exactly Nodes (pure-LP passthroughs report
-			// Nodes=1 with a nil split and no per-worker counters).
-			sum := 0
-			for i, n := range sol.NodesPerWorker {
-				sum += n
-				name := obs.MetricMILPNodesWorkerPrefix + strconv.Itoa(i+1)
-				if got := met.Counter(name); got != int64(n) {
-					fatalf("%s = %d, NodesPerWorker[%d] = %d", name, got, i, n)
-				}
-			}
-			if sol.NodesPerWorker != nil && sum != sol.Nodes {
-				fatalf("NodesPerWorker sums to %d, Nodes = %d", sum, sol.Nodes)
-			}
-
-			// Gauges.
-			if g, ok := met.Gauge(obs.MetricMILPWorkers); !ok || int(g) != sol.Workers {
-				fatalf("milp.workers gauge = %v (%v), sol.Workers = %d", g, ok, sol.Workers)
-			}
-			if g, ok := met.Gauge(obs.MetricMILPPeakQueue); !ok || int(g) != sol.PeakQueueDepth {
-				fatalf("milp.peak_queue_depth gauge = %v (%v), sol = %d", g, ok, sol.PeakQueueDepth)
-			}
-
-			// The pivots histogram reconciles with the pivot counter.
-			snap := met.Snapshot()
-			h, ok := snap.Histograms[obs.MetricHistPivotsPerSolve]
-			if !ok {
-				fatalf("missing %s histogram", obs.MetricHistPivotsPerSolve)
-			}
-			if h.Count != met.Counter(obs.MetricSimplexSolves) {
-				fatalf("histogram count %d, simplex.solves %d", h.Count, met.Counter(obs.MetricSimplexSolves))
-			}
-			if int64(h.Sum) != met.Counter(obs.MetricSimplexPivots) {
-				fatalf("histogram sum %v, simplex.pivots %d", h.Sum, met.Counter(obs.MetricSimplexPivots))
-			}
-
-			// Trace event counts match counters; incumbents are strictly
-			// improving; exactly one solve_start/solve_end bracket.
-			var starts, ends, incumbents, bounds int
-			for _, e := range events {
-				switch e.Kind {
-				case obs.KindSolveStart:
-					starts++
-				case obs.KindSolveEnd:
-					ends++
-					if e.Status != sol.Status.String() {
-						fatalf("solve_end status %q, sol %v", e.Status, sol.Status)
-					}
-				case obs.KindIncumbent:
-					incumbents++
-				case obs.KindBound:
-					bounds++
-				}
-			}
-			if starts != 1 || ends != 1 {
-				fatalf("%d solve_start, %d solve_end events", starts, ends)
-			}
-			if int64(incumbents) != met.Counter(obs.MetricMILPIncumbents) {
-				fatalf("%d incumbent events, counter %d", incumbents, met.Counter(obs.MetricMILPIncumbents))
-			}
-			if int64(bounds) != met.Counter(obs.MetricMILPBoundImprove) {
-				fatalf("%d bound events, counter %d", bounds, met.Counter(obs.MetricMILPBoundImprove))
-			}
-			inc := obs.Incumbents(events)
-			for i := 1; i < len(inc); i++ {
-				if inc[i] >= inc[i-1] {
-					fatalf("incumbents not strictly improving: %v", inc)
-				}
-			}
-
-			// Work is bounded by workers × wall (with scheduler slack).
-			if sol.WorkTime > sol.WallTime*time.Duration(sol.Workers)+10*time.Millisecond {
-				fatalf("WorkTime %v exceeds %d × WallTime %v", sol.WorkTime, sol.Workers, sol.WallTime)
+	for _, withCuts := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			for seed := int64(1); seed <= seeds; seed++ {
+				reconcileSolve(t, workers, seed, withCuts)
 			}
 		}
+	}
+}
+
+// reconcileSolve runs one seeded solve of TestObsReconciliation and
+// checks every reconciliation the property names.
+func reconcileSolve(t *testing.T, workers int, seed int64, withCuts bool) {
+	t.Helper()
+	m := randomObsModel(rand.New(rand.NewSource(seed)))
+	met := obs.NewMetrics()
+	sink := &obs.MemorySink{}
+	sol, err := Solve(m, &Options{
+		Workers: workers,
+		Cuts:    cuts.Options{Enable: withCuts},
+		Trace:   obs.NewDeterministic(sink),
+		Metrics: met,
+	})
+	if err != nil {
+		t.Fatalf("workers=%d seed=%d cuts=%v: %v", workers, seed, withCuts, err)
+	}
+	events := sink.Events()
+	// Keep the seed in every failure so a property violation
+	// replays with one -run invocation.
+	fatalf := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("workers=%d seed=%d cuts=%v: %s", workers, seed, withCuts, fmt.Sprintf(format, args...))
+	}
+
+	if !lp.ValidLimit(sol.Status, sol.Limit) {
+		fatalf("invalid pair (%v, %q)", sol.Status, sol.Limit)
+	}
+
+	// Counters mirror the solution's totals exactly.
+	if got := met.Counter(obs.MetricMILPSolves); got != 1 {
+		fatalf("milp.solves = %d", got)
+	}
+	if got := met.Counter(obs.MetricMILPNodes); got != int64(sol.Nodes) {
+		fatalf("milp.nodes = %d, sol.Nodes = %d", got, sol.Nodes)
+	}
+	if got := met.Counter(obs.MetricSimplexPivots); got != int64(sol.Iterations) {
+		fatalf("simplex.pivots = %d, sol.Iterations = %d", got, sol.Iterations)
+	}
+	if got := met.Counter(obs.MetricMILPWallMicros); got != sol.WallTime.Microseconds() {
+		fatalf("milp.wall_us = %d, sol.WallTime = %v", got, sol.WallTime)
+	}
+	if got := met.Counter(obs.MetricMILPWorkMicros); got != sol.WorkTime.Microseconds() {
+		fatalf("milp.work_us = %d, sol.WorkTime = %v", got, sol.WorkTime)
+	}
+
+	// Per-worker node counters reproduce NodesPerWorker, whose
+	// entries sum to exactly Nodes (pure-LP passthroughs report
+	// Nodes=1 with a nil split and no per-worker counters).
+	sum := 0
+	for i, n := range sol.NodesPerWorker {
+		sum += n
+		name := obs.MetricMILPNodesWorkerPrefix + strconv.Itoa(i+1)
+		if got := met.Counter(name); got != int64(n) {
+			fatalf("%s = %d, NodesPerWorker[%d] = %d", name, got, i, n)
+		}
+	}
+	if sol.NodesPerWorker != nil && sum != sol.Nodes {
+		fatalf("NodesPerWorker sums to %d, Nodes = %d", sum, sol.Nodes)
+	}
+
+	// Gauges.
+	if g, ok := met.Gauge(obs.MetricMILPWorkers); !ok || int(g) != sol.Workers {
+		fatalf("milp.workers gauge = %v (%v), sol.Workers = %d", g, ok, sol.Workers)
+	}
+	if g, ok := met.Gauge(obs.MetricMILPPeakQueue); !ok || int(g) != sol.PeakQueueDepth {
+		fatalf("milp.peak_queue_depth gauge = %v (%v), sol = %d", g, ok, sol.PeakQueueDepth)
+	}
+
+	// The pivots histogram reconciles with the pivot counter.
+	snap := met.Snapshot()
+	h, ok := snap.Histograms[obs.MetricHistPivotsPerSolve]
+	if !ok {
+		fatalf("missing %s histogram", obs.MetricHistPivotsPerSolve)
+	}
+	if h.Count != met.Counter(obs.MetricSimplexSolves) {
+		fatalf("histogram count %d, simplex.solves %d", h.Count, met.Counter(obs.MetricSimplexSolves))
+	}
+	if int64(h.Sum) != met.Counter(obs.MetricSimplexPivots) {
+		fatalf("histogram sum %v, simplex.pivots %d", h.Sum, met.Counter(obs.MetricSimplexPivots))
+	}
+
+	// Trace event counts match counters; incumbents are strictly
+	// improving; exactly one solve_start/solve_end bracket.
+	var starts, ends, incumbents, bounds int
+	for _, e := range events {
+		switch e.Kind {
+		case obs.KindSolveStart:
+			starts++
+		case obs.KindSolveEnd:
+			ends++
+			if e.Status != sol.Status.String() {
+				fatalf("solve_end status %q, sol %v", e.Status, sol.Status)
+			}
+		case obs.KindIncumbent:
+			incumbents++
+		case obs.KindBound:
+			bounds++
+		}
+	}
+	if starts != 1 || ends != 1 {
+		fatalf("%d solve_start, %d solve_end events", starts, ends)
+	}
+	if int64(incumbents) != met.Counter(obs.MetricMILPIncumbents) {
+		fatalf("%d incumbent events, counter %d", incumbents, met.Counter(obs.MetricMILPIncumbents))
+	}
+	if int64(bounds) != met.Counter(obs.MetricMILPBoundImprove) {
+		fatalf("%d bound events, counter %d", bounds, met.Counter(obs.MetricMILPBoundImprove))
+	}
+	inc := obs.Incumbents(events)
+	for i := 1; i < len(inc); i++ {
+		if inc[i] >= inc[i-1] {
+			fatalf("incumbents not strictly improving: %v", inc)
+		}
+	}
+
+	// Work is bounded by workers × wall (with scheduler slack).
+	if sol.WorkTime > sol.WallTime*time.Duration(sol.Workers)+10*time.Millisecond {
+		fatalf("WorkTime %v exceeds %d × WallTime %v", sol.WorkTime, sol.Workers, sol.WallTime)
 	}
 }
 

@@ -29,9 +29,7 @@ type coordinator struct {
 	// deadline came from the context rather than an option limit; expiry
 	// then maps to StatusCanceled instead of the graceful StatusNodeLimit.
 	deadlineIsCtx bool
-	memLimit      int64 // open-node memory budget; 0 = unlimited
 	start         time.Time
-	goCtx         context.Context // full context for kernel sub-solves
 
 	// Root-phase state, written only by the sequential root phase before
 	// worker fan-out (no lock needed; see solve's phase argument).
@@ -40,11 +38,10 @@ type coordinator struct {
 	// cutting is off or separated nothing. The incumbent path
 	// deliberately never sees it: tryAccept verifies points against the
 	// cut-free c.model.
-	cutModel         *lp.Model
-	stash            [][]float64 // known integer-feasible points guarding cut validity
-	cutsSeparated    int64
-	cutsActive       int64
-	kernelIncumbents int64
+	cutModel      *lp.Model
+	stash         [][]float64 // known integer-feasible points guarding cut validity
+	cutsSeparated int64
+	cutsActive    int64
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -195,7 +192,7 @@ func (c *coordinator) pushLocked(bound float64, depth int, changes []boundChange
 // nodeBytes estimates the heap footprint of one open node: the node
 // struct, its bound-change list, and its parent basis snapshot. The
 // frontier queue is the only part of the search whose memory grows
-// without bound, so this is what Budget.MemoryBytes meters. Siblings
+// without bound, so this is what Options.MemoryBytes meters. Siblings
 // share one basis but each is charged in full — a deliberate
 // overestimate, since a budget meter must never undercount.
 func nodeBytes(nd *node) int64 {
@@ -350,6 +347,9 @@ func (w *worker) branchChanges(nd *node, sol *lp.Solution) (down, up []boundChan
 	return down, up
 }
 
+// maxDiveDepth bounds the diving heuristic's fixing passes.
+const maxDiveDepth = 200
+
 // dive is the primal heuristic: repeatedly fix every near-integral
 // integer variable and round the single most fractional one, re-solving
 // until the LP is integral or infeasible.
@@ -357,7 +357,7 @@ func (w *worker) dive(base []boundChange, sol *lp.Solution) error {
 	changes := make([]boundChange, len(base))
 	copy(changes, base)
 	cur := sol
-	for depth := 0; depth < w.c.opts.MaxDiveDepth; depth++ {
+	for depth := 0; depth < maxDiveDepth; depth++ {
 		if cur.Status != lp.StatusOptimal || w.c.expired() || w.c.stopped() {
 			return nil
 		}
@@ -421,7 +421,7 @@ func (c *coordinator) claim(w *worker) (nd *node, nodeIdx int, ok bool) {
 			c.stopLocked(lp.StatusNodeLimit, c.globalBoundLocked(), lp.LimitNodes)
 			return nil, 0, false
 		}
-		if c.memLimit > 0 && c.queueBytes > c.memLimit {
+		if c.opts.MemoryBytes > 0 && c.queueBytes > c.opts.MemoryBytes {
 			c.stopLocked(lp.StatusNodeLimit, c.globalBoundLocked(), lp.LimitMemory)
 			return nil, 0, false
 		}
@@ -632,11 +632,9 @@ func (c *coordinator) solve() (*lp.Solution, error) {
 		w0.busy = time.Since(t0)
 		return c.assembleFinish(root.Objective, lp.StatusOptimal, []*worker{w0})
 	}
-	// Root cut rounds tighten the relaxation before the tree search, and
-	// the kernel heuristic then mines the (possibly cut-strengthened)
-	// root LP for an early incumbent. Both run here in the sequential
-	// root phase, so the cut set and kernel trajectory are identical at
-	// any worker count.
+	// Root cut rounds tighten the relaxation before the tree search.
+	// They run here in the sequential root phase, so the cut set is
+	// identical at any worker count.
 	if c.opts.Cuts.Enable {
 		var cerr error
 		root, cerr = c.rootCuts(w0, root)
@@ -650,10 +648,6 @@ func (c *coordinator) solve() (*lp.Solution, error) {
 			w0.busy = time.Since(t0)
 			return c.assembleFinish(root.Objective, lp.StatusOptimal, []*worker{w0})
 		}
-	}
-	if c.opts.Kernel.Enable {
-		c.kernelSearch(w0, root)
-		c.iterations += w0.takeIterations()
 	}
 	// The root's optimal basis seeds both first children; snapshot it
 	// before the dive re-solves other LPs on the same solver.
@@ -862,16 +856,13 @@ func (c *coordinator) foldMetrics(sol *lp.Solution) {
 	}
 	m.Add(obs.MetricMILPWallMicros, sol.WallTime.Microseconds())
 	m.Add(obs.MetricMILPWorkMicros, sol.WorkTime.Microseconds())
-	// Cut/kernel counters fold only when the features ran and produced
-	// something, so default-configuration metric snapshots keep their
-	// exact key set (golden reconciliation tests depend on it).
+	// Cut counters fold only when cutting ran and produced something,
+	// so default-configuration metric snapshots keep their exact key set
+	// (golden reconciliation tests depend on it).
 	if c.cutsSeparated > 0 {
 		m.Add(obs.MetricMILPCutsSeparated, c.cutsSeparated)
 	}
 	if c.cutsActive > 0 {
 		m.Add(obs.MetricMILPCutsActive, c.cutsActive)
-	}
-	if c.kernelIncumbents > 0 {
-		m.Add(obs.MetricMILPKernelIncumbents, c.kernelIncumbents)
 	}
 }

@@ -11,27 +11,11 @@ import (
 	"github.com/etransform/etransform/internal/resilience/faultinject"
 )
 
-// TestBudgetNodesStopsGracefully: hitting the node budget surrenders the
-// search with StatusNodeLimit and Limit naming the dimension.
-func TestBudgetNodesStopsGracefully(t *testing.T) {
-	m := stressModels()["knapsack30"]()
-	sol, err := Solve(m, &Options{Workers: 1, DisableDiving: true, Budget: Budget{Nodes: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != lp.StatusNodeLimit {
-		t.Fatalf("status = %v, want node-limit", sol.Status)
-	}
-	if sol.Limit != lp.LimitNodes {
-		t.Errorf("Limit = %q, want %q", sol.Limit, lp.LimitNodes)
-	}
-}
-
 // TestBudgetMemoryStopsGracefully: an absurdly small open-node memory
 // budget trips on the first claim after the root branches.
 func TestBudgetMemoryStopsGracefully(t *testing.T) {
 	m := stressModels()["knapsack30"]()
-	sol, err := Solve(m, &Options{Workers: 1, DisableDiving: true, Budget: Budget{MemoryBytes: 1}})
+	sol, err := Solve(m, &Options{Workers: 1, DisableDiving: true, MemoryBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

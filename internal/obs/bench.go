@@ -63,14 +63,18 @@ type BenchScenario struct {
 	// (milp.Options.Cuts); the companion baseline scenario shares the
 	// name minus the "+cuts" suffix. CutsSeparated counts cuts accepted
 	// into the root LP across all rounds, CutsActive the non-retired
-	// ones handed to the tree search, KernelIncumbents the incumbents
-	// the kernel-search heuristic installed. Every separated cut was
+	// ones handed to the tree search. Every separated cut was
 	// re-verified against the solve's stash of known feasible points
 	// (internal/certify.CheckCut) — a bench artifact with these fields
 	// nonzero is also a record that zero cuts were rejected.
-	CutsEnabled      bool  `json:"cuts,omitempty"`
-	CutsSeparated    int64 `json:"cuts_separated,omitempty"`
-	CutsActive       int64 `json:"cuts_active,omitempty"`
+	CutsEnabled   bool  `json:"cuts,omitempty"`
+	CutsSeparated int64 `json:"cuts_separated,omitempty"`
+	CutsActive    int64 `json:"cuts_active,omitempty"`
+	// KernelIncumbents is historical: it counted the incumbents the
+	// since-deleted kernel-search heuristic installed in BENCH_7's
+	// "+cuts" rows, which ran root cuts and kernel search together.
+	// Nothing writes it any more; it stays so BENCH_7.json still parses
+	// under the strict (unknown-field) read.
 	KernelIncumbents int64 `json:"kernel_incumbents,omitempty"`
 }
 

@@ -59,15 +59,12 @@ const (
 	// 1-based worker; the per-worker counters sum to MetricMILPNodes.
 	MetricMILPNodesWorkerPrefix = "milp.nodes.worker."
 
-	// Root cutting planes and the kernel-search heuristic (both opt-in
-	// and root-sequential). CutsSeparated counts cuts accepted into the
-	// pool across all root rounds, CutsActive the cuts still live (not
-	// retired by activity aging) in the model handed to the tree search,
-	// KernelIncumbents the incumbent improvements found by restricted
-	// kernel solves.
-	MetricMILPCutsSeparated    = "milp.cuts_separated"
-	MetricMILPCutsActive       = "milp.cuts_active"
-	MetricMILPKernelIncumbents = "milp.kernel_incumbents"
+	// Root cutting planes (opt-in and root-sequential). CutsSeparated
+	// counts cuts accepted into the pool across all root rounds,
+	// CutsActive the cuts still live (not retired by activity aging) in
+	// the model handed to the tree search.
+	MetricMILPCutsSeparated = "milp.cuts_separated"
+	MetricMILPCutsActive    = "milp.cuts_active"
 
 	// Fallback-chain wall-clock, microseconds. The per-stage counters
 	// (prefix + stage name) sum to at most the pipeline total.

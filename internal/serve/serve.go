@@ -11,10 +11,10 @@
 //     state and options (the per-job solver runs without a metrics
 //     registry precisely so no extra stats leak into the bytes).
 //   - Content-hash caching: submissions are keyed by the canonical hash
-//     of the state (field order and formatting independent) plus an
-//     option fingerprint; a clean solved plan is replayed to identical
-//     later submissions without solving, with hit/miss counters in the
-//     serve.* metrics.
+//     of the state (field order and formatting independent; every job
+//     runs under the server's one Config.Core); a clean solved plan is
+//     replayed to identical later submissions without solving, with
+//     hit/miss counters in the serve.* metrics.
 //   - Warm re-planning: POST /v1/plans?prev=<id> seeds the new solve
 //     with the previous job's assignment (core.Planner.SeedPlan), so
 //     small edits re-prove optimality quickly instead of starting from
@@ -144,7 +144,7 @@ func (s *Server) Metrics() *obs.Metrics { return s.met }
 // registered under a job id. A degraded plan warms nothing but is not
 // an error; a failed solve is.
 func (s *Server) Warm(ctx context.Context, state *model.AsIsState) error {
-	key, err := cacheKey(state, s.cfg.Core)
+	key, err := model.CanonicalHash(state)
 	if err != nil {
 		return err
 	}
@@ -203,7 +203,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key, err := cacheKey(state, s.cfg.Core)
+	key, err := model.CanonicalHash(state)
 	if err != nil {
 		s.met.Add(obs.MetricServeJobsRejected, 1)
 		jsonError(w, http.StatusBadRequest, "%v", err)

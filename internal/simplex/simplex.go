@@ -18,15 +18,8 @@ type Options struct {
 	// MaxIters caps total simplex pivots across both phases.
 	// Default 50000 + 100×rows.
 	MaxIters int
-	// FeasTol is the primal feasibility tolerance. Default lp.FeasTol.
-	FeasTol float64
-	// OptTol is the dual (reduced-cost) tolerance. Default tol.Opt.
-	OptTol float64
 	// Bland forces Bland's rule from the first pivot (slower, cycle-proof).
 	Bland bool
-	// StallLimit is the number of consecutive degenerate pivots tolerated
-	// before switching to Bland's rule. Default 60.
-	StallLimit int
 	// Deadline, when set, bounds the solve's wall clock: the iteration
 	// loop polls it every 128 pivots and surrenders with
 	// lp.StatusIterLimit (Solution.Limit = lp.LimitWallClock) once
@@ -63,6 +56,10 @@ type Options struct {
 	RefactorEvery int
 }
 
+// stallLimit is the number of consecutive degenerate pivots tolerated
+// before switching to Bland's rule.
+const stallLimit = 60
+
 func (o *Options) withDefaults(rows int) Options {
 	out := Options{}
 	if o != nil {
@@ -70,15 +67,6 @@ func (o *Options) withDefaults(rows int) Options {
 	}
 	if out.MaxIters <= 0 {
 		out.MaxIters = 50000 + 100*rows
-	}
-	if out.FeasTol <= 0 {
-		out.FeasTol = lp.FeasTol
-	}
-	if out.OptTol <= 0 {
-		out.OptTol = tol.Opt
-	}
-	if out.StallLimit <= 0 {
-		out.StallLimit = 60
 	}
 	if out.RefactorEvery <= 0 {
 		out.RefactorEvery = 64
@@ -395,7 +383,7 @@ func (t *tableau) solve() (*lp.Solution, error) {
 			// Binv = inverse of diag(±1) = diag(±1).
 			t.binv[r*m+r] = t.cols[a].coefs[0]
 		}
-		if av > t.opts.FeasTol {
+		if av > lp.FeasTol {
 			needPhase1 = true
 		}
 	}
@@ -425,7 +413,7 @@ func (t *tableau) solve() (*lp.Solution, error) {
 			return &lp.Solution{Status: lp.StatusIterLimit, Iterations: t.iters, Limit: t.limit}, nil
 		}
 		t.recomputeXB()
-		if t.phaseObjective() > t.opts.FeasTol*math.Max(1, t.bScale()) {
+		if t.phaseObjective() > lp.FeasTol*math.Max(1, t.bScale()) {
 			return &lp.Solution{Status: lp.StatusInfeasible, Iterations: t.iters}, nil
 		}
 	}
@@ -635,7 +623,7 @@ func (t *tableau) iterateDense() (lp.Status, error) {
 		// Pricing: pick entering column.
 		enter := -1
 		var enterDir float64
-		best := t.opts.OptTol
+		best := tol.Opt
 		limit := t.nTotal
 		if t.phase == 2 {
 			limit = t.nStruct + t.m // artificials frozen; skip pricing them
@@ -764,10 +752,10 @@ func (t *tableau) ratioTest(enter int, enterDir float64, w []float64) (tMax floa
 // bookkeeping, and applies the step of length tMax to the basic values.
 func (t *tableau) recordStep(enterDir, tMax float64, w []float64) {
 	t.iters++
-	if tMax <= t.opts.FeasTol {
+	if tMax <= lp.FeasTol {
 		t.degenRun++
 		t.degenTotal++
-		if t.degenRun > t.opts.StallLimit {
+		if t.degenRun > stallLimit {
 			if !t.blandMode {
 				t.blandFlips++
 			}

@@ -244,7 +244,6 @@ func (t *tableau) resetDevex() {
 // an optimality claim at the maintained values' accuracy.
 func (t *tableau) priceDevex() (int, float64) {
 	limit := t.priceLimit()
-	optTol := t.opts.OptTol
 	enter := -1
 	var enterDir float64
 	bestScore := 0.0
@@ -258,7 +257,7 @@ func (t *tableau) priceDevex() (int, float64) {
 		}
 		priced++
 		viol, dir := t.violation(j)
-		if viol <= optTol {
+		if viol <= tol.Opt {
 			continue
 		}
 		keep = append(keep, jc)
@@ -299,7 +298,7 @@ func (t *tableau) priceDevex() (int, float64) {
 			}
 			priced++
 			viol, dir := t.violation(j)
-			if viol <= optTol {
+			if viol <= tol.Opt {
 				continue
 			}
 			if len(t.cand) < priceBufferCap {
@@ -333,7 +332,6 @@ func (t *tableau) priceBland() (int, float64) {
 	y := t.workRow
 	t.computeDuals(y)
 	limit := t.priceLimit()
-	optTol := t.opts.OptTol
 	for j := 0; j < limit; j++ {
 		if t.priceSkip(j) {
 			continue
@@ -342,18 +340,18 @@ func (t *tableau) priceBland() (int, float64) {
 		d := t.reducedCost(j, y)
 		switch t.status[j] {
 		case atLower:
-			if tol.Neg(d, optTol) {
+			if tol.Neg(d, tol.Opt) {
 				return j, 1
 			}
 		case atUpper:
-			if tol.Pos(d, optTol) {
+			if tol.Pos(d, tol.Opt) {
 				return j, -1
 			}
 		case freeAtZero:
-			if tol.Neg(d, optTol) {
+			if tol.Neg(d, tol.Opt) {
 				return j, 1
 			}
-			if tol.Pos(d, optTol) {
+			if tol.Pos(d, tol.Opt) {
 				return j, -1
 			}
 		}
@@ -370,9 +368,9 @@ func (t *tableau) verifyEntering(enter int, enterDir float64) bool {
 	t.computeDuals(y)
 	d := t.reducedCost(enter, y)
 	if enterDir > 0 {
-		return tol.Neg(d, t.opts.OptTol)
+		return tol.Neg(d, tol.Opt)
 	}
-	return tol.Pos(d, t.opts.OptTol)
+	return tol.Pos(d, tol.Opt)
 }
 
 // pivotRowAlphas computes the pivot row α = ρᵀ·A sparsely into

@@ -36,7 +36,7 @@ type Basis struct {
 
 // MemBytes returns the approximate heap footprint of the snapshot, for
 // callers that meter queue memory (the branch & bound node queue charges
-// each node's basis against Budget.MemoryBytes).
+// each node's basis against milp.Options.MemoryBytes).
 func (b *Basis) MemBytes() int64 {
 	if b == nil {
 		return 0
@@ -267,7 +267,7 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 	maxPivots := 100 + 2*m
 	for p := 0; p < maxPivots; p++ {
 		// Leaving row: the most-violated basic bound.
-		r, toLower, worst := -1, false, t.opts.FeasTol
+		r, toLower, worst := -1, false, lp.FeasTol
 		for i := 0; i < m; i++ {
 			bi := t.basicIn[i]
 			if v := t.lower[bi] - t.xB[i]; v > worst {

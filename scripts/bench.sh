@@ -10,8 +10,9 @@
 #                                       one record per case-study solve,
 #                                       each dataset solved with the
 #                                       default options and again with
-#                                       root cuts + kernel search (the
-#                                       "+cuts" scenarios).
+#                                       root cuts only (the "+cuts"
+#                                       scenarios; BENCH_7 and earlier
+#                                       ran kernel search there too).
 #                                       <n> is one past the highest
 #                                       BENCH_*.json already checked in,
 #                                       so each PR's run lands in a fresh

@@ -36,10 +36,10 @@
 #                  suite (no separated cut may eliminate an enumerated
 #                  integer-feasible point) plus a short fuzz pass over
 #                  both separators
-#  13. cut/kernel determinism smoke: one -cuts -kernel planner solve at
-#                  -workers 1 and 4 must produce the identical plan cost
-#                  block (cuts and the kernel run in the sequential root
-#                  phase, so worker count must not leak into the answer)
+#  13. cut determinism smoke: one -cuts planner solve at -workers 1
+#                  and 4 must produce the identical plan cost block (cuts
+#                  run in the sequential root phase, so worker count must
+#                  not leak into the answer)
 #  14. etserve smoke: boot the planning daemon on a random port, submit
 #                  the smoke state over HTTP, poll to done, fetch the
 #                  plan and compare it to the etransform CLI's plan for
@@ -166,22 +166,22 @@ go test -run 'TestCutValiditySmoke16|TestCoverDegenerateRows' ./internal/milp/cu
 go test -run '^$' -fuzz FuzzGomoryRow -fuzztime 5s ./internal/milp/cuts
 go test -run '^$' -fuzz FuzzCoverSeparation -fuzztime 5s ./internal/milp/cuts
 
-echo "==> cut/kernel determinism smoke (-workers 1 vs 4)"
-# Cuts and the kernel heuristic run in the sequential root phase, so the
-# certified plan — in particular its full cost breakdown — must be
-# identical at any worker count.
+echo "==> cut determinism smoke (-workers 1 vs 4)"
+# Cuts run in the sequential root phase, so the certified plan — in
+# particular its full cost breakdown — must be identical at any worker
+# count.
 "$SMOKE_DIR/etransform" -state "$SMOKE_DIR/asis.json" -report=false \
-    -cuts -kernel -workers 1 -plan "$SMOKE_DIR/plan_w1.json" > /dev/null
+    -cuts -workers 1 -plan "$SMOKE_DIR/plan_w1.json" > /dev/null
 "$SMOKE_DIR/etransform" -state "$SMOKE_DIR/asis.json" -report=false \
-    -cuts -kernel -workers 4 -plan "$SMOKE_DIR/plan_w4.json" > /dev/null
+    -cuts -workers 4 -plan "$SMOKE_DIR/plan_w4.json" > /dev/null
 jq .cost "$SMOKE_DIR/plan_w1.json" > "$SMOKE_DIR/cost_w1.json"
 jq .cost "$SMOKE_DIR/plan_w4.json" > "$SMOKE_DIR/cost_w4.json"
 if ! cmp -s "$SMOKE_DIR/cost_w1.json" "$SMOKE_DIR/cost_w4.json"; then
-    echo "cuts+kernel plan cost differs across -workers values:" >&2
+    echo "cuts plan cost differs across -workers values:" >&2
     diff "$SMOKE_DIR/cost_w1.json" "$SMOKE_DIR/cost_w4.json" >&2 || true
     exit 1
 fi
-echo "    cuts+kernel plan cost identical at -workers 1 vs 4"
+echo "    cuts plan cost identical at -workers 1 vs 4"
 
 echo "==> etserve service smoke (submit -> poll -> plan parity + cache hit)"
 go build -o "$SMOKE_DIR/etserve" ./cmd/etserve
