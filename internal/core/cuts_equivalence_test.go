@@ -11,11 +11,11 @@ import (
 )
 
 // TestCutsEquivalenceScenarios is the end-to-end safety suite for the
-// root cutting planes: on the same bundled scenario matrix as the
-// dense/sparse equivalence test, every combination of {cuts off/on} ×
-// {workers 1, 4} must certify the identical objective. Cuts may only
-// tighten the dual bound — any drift in the certified optimum means a
-// cut deleted a feasible point.
+// root cutting planes: on four bundled case-study scenarios (aggregated
+// integer counts, DR pair columns, shared backup pools), every
+// combination of {cuts off/on} × {workers 1, 4} must certify the
+// identical objective. Cuts may only tighten the dual bound — any drift
+// in the certified optimum means a cut deleted a feasible point.
 func TestCutsEquivalenceScenarios(t *testing.T) {
 	scenarios := []struct {
 		name string

@@ -42,12 +42,7 @@ func (b *builder) warmStarts() [][]float64 {
 		return s.Target.DCs[j].SpaceCost.UnitCostAt(0) + model.ServerMonthlyCost(&s.Target.DCs[j], &s.Params)
 	}
 	rank := sortedIndices(n, perServer)
-
-	poolCost := func(j int) float64 {
-		dc := &s.Target.DCs[j]
-		return s.Params.DRServerCost + dc.SpaceCost.UnitCostAt(0) + model.ServerMonthlyCost(&s.Target.DCs[j], &s.Params)
-	}
-	poolRank := sortedIndices(n, poolCost)
+	poolRank := b.poolRank()
 
 	maxK := n
 	if maxK > 12 {

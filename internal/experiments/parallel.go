@@ -55,6 +55,12 @@ func ForEachContext(ctx context.Context, n, workers int, fn func(i int) error) e
 			go func() {
 				defer wg.Done()
 				for i := range jobs {
+					// Once a worker frees up after the cancel, the feeder's
+					// select may still pick the send: skip such a job here.
+					if ctx.Err() != nil {
+						continue
+					}
+					ran[i] = true
 					errs[i] = fn(i)
 				}
 			}()
@@ -63,7 +69,6 @@ func ForEachContext(ctx context.Context, n, workers int, fn func(i int) error) e
 		for i := 0; i < n; i++ {
 			select {
 			case jobs <- i:
-				ran[i] = true
 			case <-ctx.Done():
 				break feed
 			}

@@ -70,7 +70,7 @@ func (c *coordinator) rootCuts(w0 *worker, root *lp.Solution) (*lp.Solution, err
 	c.buildStash()
 	pool := cuts.NewPool()
 	cur := root
-	for round := 0; round < o.MaxRounds; round++ {
+	for round := 0; round < cuts.MaxRounds; round++ {
 		if c.expired() || c.ctx.Err() != nil {
 			break
 		}
@@ -82,7 +82,7 @@ func (c *coordinator) rootCuts(w0 *worker, root *lp.Solution) (*lp.Solution, err
 			cand = cuts.SeparateGomory(w0.work, isInt, view, &o)
 		}
 		cand = append(cand, cuts.SeparateCovers(w0.work, isInt, cur.X, &o)...)
-		cand = cuts.SelectBest(cand, o.MaxPerRound)
+		cand = cuts.SelectBest(cand, cuts.MaxPerRound)
 
 		prev := w0.work
 		next := prev.Clone()
@@ -121,7 +121,7 @@ func (c *coordinator) rootCuts(w0 *worker, root *lp.Solution) (*lp.Solution, err
 		c.cutsSeparated += int64(added)
 		w0.work = next
 		cur = sol
-		pool.Observe(cur.X, o.MaxAge)
+		pool.Observe(cur.X, cuts.MaxAge)
 	}
 
 	active := pool.Active()

@@ -39,17 +39,29 @@ import (
 	"github.com/etransform/etransform/internal/tol"
 )
 
-// Options control separation and the cut pool. The zero value disables
-// cutting entirely; Enable with everything else zero applies defaults.
+// Limits of the cut loop and the cut screen.
+const (
+	// MaxRounds caps separation rounds at the root.
+	MaxRounds = 8
+	// MaxPerRound caps cuts accepted per round (the most violated win).
+	MaxPerRound = 32
+	// MaxAge is how many consecutive rounds a pooled cut may stay slack
+	// (non-binding at the re-solved LP optimum) before the pool retires
+	// it; retired cuts are dropped from the model handed to the tree
+	// search.
+	MaxAge = 3
+	// maxDynamism is the largest allowed ratio max|coef|/min|coef| over a
+	// cut's nonzero coefficients; beyond it the cut is numerically
+	// untrustworthy and is discarded.
+	maxDynamism = 1e7
+)
+
+// Options control separation. The zero value disables cutting entirely;
+// Enable with everything else zero applies defaults.
 type Options struct {
 	// Enable turns root-node cut separation on. Off by default: default
 	// solve trajectories (and their golden traces) must stay byte-stable.
 	Enable bool
-	// MaxRounds caps separation rounds at the root. Default 8.
-	MaxRounds int
-	// MaxPerRound caps cuts accepted per round (the most violated win).
-	// Default 32.
-	MaxPerRound int
 	// MinViolation is the minimum normalized violation (violation over
 	// the cut's coefficient 2-norm) a candidate must achieve at the
 	// separating LP point. Default 1e-4.
@@ -58,18 +70,9 @@ type Options struct {
 	// basic variable (and the GMI row fraction f0) must have; rows closer
 	// to integral than this produce numerically fragile cuts. Default 5e-3.
 	MinFrac float64
-	// MaxDynamism is the largest allowed ratio max|coef|/min|coef| over a
-	// cut's nonzero coefficients; beyond it the cut is numerically
-	// untrustworthy and is discarded. Default 1e7.
-	MaxDynamism float64
-	// MaxDensity caps a cut's nonzero count. 0 derives max(100, n/2)
-	// from the model's variable count n.
-	MaxDensity int
-	// MaxAge is how many consecutive rounds a pooled cut may stay
-	// slack (non-binding at the re-solved LP optimum) before the pool
-	// retires it; retired cuts are dropped from the model handed to the
-	// tree search. Default 3.
-	MaxAge int
+	// maxDensity caps a cut's nonzero count: max(100, n/2) for a model
+	// of n variables, set by WithDefaults.
+	maxDensity int
 }
 
 // WithDefaults returns o with defaults applied for a model of n
@@ -79,30 +82,13 @@ func (o *Options) WithDefaults(n int) Options {
 	if o != nil {
 		out = *o
 	}
-	if out.MaxRounds <= 0 {
-		out.MaxRounds = 8
-	}
-	if out.MaxPerRound <= 0 {
-		out.MaxPerRound = 32
-	}
 	if out.MinViolation <= 0 {
 		out.MinViolation = tol.CutViolation
 	}
 	if out.MinFrac <= 0 {
 		out.MinFrac = 5e-3
 	}
-	if out.MaxDynamism <= 0 {
-		out.MaxDynamism = 1e7
-	}
-	if out.MaxDensity <= 0 {
-		out.MaxDensity = n / 2
-		if out.MaxDensity < 100 {
-			out.MaxDensity = 100
-		}
-	}
-	if out.MaxAge <= 0 {
-		out.MaxAge = 3
-	}
+	out.maxDensity = max(100, n/2)
 	return out
 }
 
@@ -177,7 +163,7 @@ func (c *Cut) signature() string {
 // dynamism and minimum-violation filters are applied against the
 // separating point x. ok=false means the cut was filtered out.
 func (c *Cut) finish(x []float64, o *Options) bool {
-	if len(c.Terms) == 0 || len(c.Terms) > o.MaxDensity {
+	if len(c.Terms) == 0 || len(c.Terms) > o.maxDensity {
 		return false
 	}
 	sort.Slice(c.Terms, func(i, j int) bool { return c.Terms[i].Var < c.Terms[j].Var })
@@ -197,7 +183,7 @@ func (c *Cut) finish(x []float64, o *Options) bool {
 	if !tol.Pos(maxC, 0) || math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
 		return false
 	}
-	if maxC/minC > o.MaxDynamism {
+	if maxC/minC > maxDynamism {
 		return false
 	}
 	scale := 1 / maxC

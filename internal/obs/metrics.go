@@ -19,7 +19,6 @@ const (
 	MetricSimplexPhase1     = "simplex.phase1_pivots"
 	MetricSimplexDegenerate = "simplex.degenerate_pivots"
 	MetricSimplexBland      = "simplex.bland_switches"
-	MetricSimplexRefactors  = "simplex.refactorizations"
 
 	// Warm-start counters (basis reuse across branch & bound nodes).
 	// A hit is a solve completed from an inherited basis with phase 1
@@ -32,12 +31,11 @@ const (
 	MetricSimplexWarmMisses = "simplex.warm_misses"
 	MetricSimplexDualPivots = "simplex.dual_pivots"
 
-	// Sparse-engine counters. Factorizations counts every sparse-LU
-	// build (initial, eta-cap, drift, tiny-pivot recovery) — a superset
-	// of MetricSimplexRefactors, which keeps counting only the recovery/
-	// policy refactorizations the dense engine also performs. EtaUpdates
-	// counts product-form etas appended between factorizations, and
-	// PricedCandidates the columns examined by (partial) pricing.
+	// Linear-algebra counters. Factorizations counts every sparse-LU
+	// build (initial, eta-cap, drift, tiny-pivot recovery, basis
+	// install). EtaUpdates counts product-form etas appended between
+	// factorizations, and PricedCandidates the columns examined by
+	// (partial) pricing.
 	// RefactorDriftMax is a high-water gauge of the relative primal
 	// residual observed at the periodic drift checks.
 	MetricSimplexFactorizations   = "simplex.factorizations"

@@ -19,8 +19,8 @@
 //     tie-breaks), each candidate independently re-certified against
 //     the nominal MILP before it may be chosen.
 //
-// Replay is a hard guarantee, in the same spirit as the warm-start and
-// dense/sparse equivalence suites: sample i's inputs come from a
+// Replay is a hard guarantee, in the same spirit as the warm-start
+// equivalence suites: sample i's inputs come from a
 // dedicated RNG seeded by mix(seed, i), per-sample solves run the
 // deterministic Workers=1 branch & bound, and results are folded in
 // sample-index order. The harness worker count only schedules work, so

@@ -41,10 +41,10 @@
 // artificials either reaches zero (proceed to phase 2 on the true costs)
 // or proves infeasibility.
 //
-// Options.DenseLA selects the legacy dense-inverse engine (dense basis
-// inverse, product-form updates, Dantzig pricing). It is retained as an
-// independently implemented reference: the equivalence suites solve every
-// LP through both backends and require identical certified outcomes. See
+// The tests check the engine against exactLP, an exact rational two-phase
+// tableau simplex that lives only in the test files and shares no code
+// with the engine: cold, warm-started and forced-Bland solves of random
+// LPs must match its status and objective. See
 // DESIGN.md, "Sparse linear algebra", for the full contract — data
 // layouts, update formulas, the refactorization policy and the exact
 // tolerance each guard uses.

@@ -8,33 +8,31 @@ import (
 	"github.com/etransform/etransform/internal/lp"
 )
 
-// The dense-vs-sparse equivalence suite: the dense tableau engine is
-// retained purely as an independently implemented reference, and these
-// tests are the reason — every LP is solved through both linear-algebra
-// backends and the certified outcomes must agree. Pivot sequences and
-// degenerate vertices may differ (pricing differs by design), so the
+// The reference suite: every LP is solved by the engine and by exactLP,
+// the exact rational simplex in exact_test.go, and the outcomes must
+// agree. Pivot sequences and degenerate vertices may differ, so the
 // contract is status + objective, not iteration counts or points.
 
-// sameOutcome asserts the two solutions agree on status and, when both
-// are optimal, on objective to a scaled 1e-6.
-func sameOutcome(t *testing.T, label string, sparse, dense *lp.Solution) {
+// matchesExact asserts that the engine's solution of m agrees with
+// exactLP on status and, when optimal, on objective to a scaled 1e-6.
+func matchesExact(t *testing.T, label string, m *lp.Model, got *lp.Solution) {
 	t.Helper()
-	if sparse.Status != dense.Status {
-		t.Fatalf("%s: status sparse=%v dense=%v", label, sparse.Status, dense.Status)
+	status, obj := exactLP(m)
+	if got.Status != status {
+		t.Fatalf("%s: status %v, exact %v", label, got.Status, status)
 	}
-	if sparse.Status != lp.StatusOptimal {
+	if status != lp.StatusOptimal {
 		return
 	}
-	if d := math.Abs(sparse.Objective - dense.Objective); d > 1e-6*math.Max(1, math.Abs(dense.Objective)) {
-		t.Fatalf("%s: objective sparse=%v dense=%v (diff %g)",
-			label, sparse.Objective, dense.Objective, d)
+	if d := math.Abs(got.Objective - obj); d > 1e-6*math.Max(1, math.Abs(obj)) {
+		t.Fatalf("%s: objective %v, exact %v (diff %g)", label, got.Objective, obj, d)
 	}
 }
 
-// TestDenseSparseEquivalenceRandomLPs cross-solves well over 300 random
-// LPs — the general mix plus the box-bounded family that exercises bound
-// flips and free variables — through both engines.
-func TestDenseSparseEquivalenceRandomLPs(t *testing.T) {
+// TestExactReferenceRandomLPs solves 400 random LPs cold — the general
+// mix plus the box-bounded family that exercises bound flips — and
+// checks each against the exact reference.
+func TestExactReferenceRandomLPs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	trials := 400
 	if testing.Short() {
@@ -47,23 +45,19 @@ func TestDenseSparseEquivalenceRandomLPs(t *testing.T) {
 		} else {
 			m = randomBoxLP(rng)
 		}
-		sparse, errS := Solve(m, nil)
-		dense, errD := Solve(m, &Options{DenseLA: true})
-		if (errS == nil) != (errD == nil) {
-			t.Fatalf("trial %d: error mismatch: sparse %v, dense %v", trial, errS, errD)
+		sol, err := Solve(m, nil)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if errS != nil {
-			continue
-		}
-		sameOutcome(t, "trial", sparse, dense)
+		matchesExact(t, "cold", m, sol)
 	}
 }
 
-// TestDenseSparseEquivalenceWarm repeats the cross-check over the warm
-// path: a parent LP is solved on each engine, child bounds are tightened
-// branch & bound style, and SolveFrom(child, parentBasis) must agree
-// with the opposite engine's cold solve of the same child.
-func TestDenseSparseEquivalenceWarm(t *testing.T) {
+// TestExactReferenceWarm repeats the check over the warm path: a parent
+// LP is solved, one bound is tightened branch & bound style, and both
+// SolveFrom(child, parentBasis) and a cold solve of the child must match
+// the exact reference.
+func TestExactReferenceWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	trials := 150
 	if testing.Short() {
@@ -71,57 +65,40 @@ func TestDenseSparseEquivalenceWarm(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		parent := randomLP(rng, 2+rng.Intn(10), 1+rng.Intn(6))
-		sSparse := NewSolver(nil)
-		sDense := NewSolver(&Options{DenseLA: true})
-		pS, errS := sSparse.Solve(parent)
-		pD, errD := sDense.Solve(parent)
-		if (errS == nil) != (errD == nil) {
-			t.Fatalf("trial %d parent: error mismatch: %v vs %v", trial, errS, errD)
+		s := NewSolver(nil)
+		p, err := s.Solve(parent)
+		if err != nil {
+			t.Fatalf("trial %d parent: %v", trial, err)
 		}
-		if errS != nil || pS.Status != lp.StatusOptimal || pD.Status != lp.StatusOptimal {
+		if p.Status != lp.StatusOptimal {
 			continue
 		}
-		basisS, basisD := sSparse.Basis(), sDense.Basis()
+		basis := s.Basis()
 
-		branchLike(parent, pS, rng)
-		warmS, errS := sSparse.SolveFrom(parent, basisS)
-		warmD, errD := sDense.SolveFrom(parent, basisD)
-		if (errS == nil) != (errD == nil) {
-			t.Fatalf("trial %d child: error mismatch: %v vs %v", trial, errS, errD)
-		}
-		if errS != nil {
-			continue
-		}
-		sameOutcome(t, "warm/warm", warmS, warmD)
-
-		coldS, err := Solve(parent, nil)
+		branchLike(parent, p, rng)
+		warm, err := s.SolveFrom(parent, basis)
 		if err != nil {
-			t.Fatalf("trial %d cold sparse: %v", trial, err)
+			t.Fatalf("trial %d warm child: %v", trial, err)
 		}
-		coldD, err := Solve(parent, &Options{DenseLA: true})
+		matchesExact(t, "warm", parent, warm)
+		cold, err := Solve(parent, nil)
 		if err != nil {
-			t.Fatalf("trial %d cold dense: %v", trial, err)
+			t.Fatalf("trial %d cold child: %v", trial, err)
 		}
-		sameOutcome(t, "sparse warm vs dense cold", warmS, coldD)
-		sameOutcome(t, "sparse cold vs dense warm", coldS, warmD)
+		matchesExact(t, "cold", parent, cold)
 	}
 }
 
-// TestDenseSparseEquivalenceBland pins the engines to each other under
-// forced Bland pricing, the anti-cycling mode both must implement
-// identically (first eligible index over exact reduced costs).
-func TestDenseSparseEquivalenceBland(t *testing.T) {
+// TestExactReferenceBland checks forced Bland pricing, the anti-cycling
+// mode, against the exact reference.
+func TestExactReferenceBland(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 100; trial++ {
 		m := randomLP(rng, 1+rng.Intn(10), 1+rng.Intn(6))
-		sparse, errS := Solve(m, &Options{Bland: true})
-		dense, errD := Solve(m, &Options{Bland: true, DenseLA: true})
-		if (errS == nil) != (errD == nil) {
-			t.Fatalf("trial %d: error mismatch: sparse %v, dense %v", trial, errS, errD)
+		sol, err := Solve(m, &Options{Bland: true})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if errS != nil {
-			continue
-		}
-		sameOutcome(t, "bland", sparse, dense)
+		matchesExact(t, "bland", m, sol)
 	}
 }

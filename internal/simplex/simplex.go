@@ -35,24 +35,15 @@ type Options struct {
 	// phases, so a solve costs at most four emissions.
 	Trace *obs.Tracer
 	// Metrics, when non-nil, receives per-solve counters (pivots,
-	// degenerate pivots, Bland switches, refactorizations) folded once
+	// degenerate pivots, Bland switches, factorizations) folded once
 	// after each solve — the hot loop only increments local integers,
 	// keeping the armed overhead far under the 2% pivot-loop budget.
 	Metrics *obs.Metrics
-	// DenseLA selects the legacy dense basis-inverse engine (explicit
-	// m×m inverse, product-form updates, Dantzig pricing with exact
-	// duals every pivot) instead of the default sparse engine (LU +
-	// eta-file basis, devex pricing). The dense engine is retained as an
-	// independently implemented reference: the dense-vs-sparse
-	// equivalence suite solves every LP through both and demands
-	// identical certified objectives. Production callers leave it false.
-	DenseLA bool
-	// RefactorEvery caps the eta-file length of the sparse engine:
-	// after this many basis updates since the last factorization the
-	// basis is refactorized, collapsing accumulated floating-point
-	// error and keeping FTRAN/BTRAN cost bounded. Default 64. The
-	// drift guard (tol.Drift) can force an earlier refactorization.
-	// Ignored by the dense engine.
+	// RefactorEvery caps the eta-file length: after this many basis
+	// updates since the last factorization the basis is refactorized,
+	// collapsing accumulated floating-point error and keeping
+	// FTRAN/BTRAN cost bounded. Default 64. The drift guard (tol.Drift)
+	// can force an earlier refactorization.
 	RefactorEvery int
 }
 
@@ -130,9 +121,10 @@ type tableau struct {
 	basicIn []int32   // column basic in row i
 	inRow   []int32   // row a basic column occupies; -1 if nonbasic
 
-	binv []float64 // dense m×m row-major basis inverse (dense engine)
-	la   *sparseLA // sparse LU + eta-file basis operator (sparse engine)
-	xB   []float64 // values of basic variables by row
+	// la is the basis operator: a sparse LU plus an eta file, rebuilt per
+	// solve. The m×m inverse is never materialized.
+	la sparseLA
+	xB []float64 // values of basic variables by row
 
 	// CSR mirror of the structural columns (row-major), used to form the
 	// pivot row α = ρᵀ·A sparsely: only rows where ρ is nonzero are
@@ -142,14 +134,13 @@ type tableau struct {
 	rowVar   []int32
 	rowCoef  []float64
 
-	// Devex pricing state (sparse engine). dj holds the maintained
-	// reduced costs of the active phase; djExact marks them as freshly
-	// recomputed from the basis (a terminal optimal/unbounded verdict is
-	// only ever issued off exact values); djValid marks them usable at
-	// all (Bland-mode pivots skip maintenance and invalidate them).
-	// gamma holds the devex reference weights; cand the retained
-	// candidate buffer of partial pricing; scanFrom the rotating scan
-	// cursor.
+	// Devex pricing state. dj holds the maintained reduced costs of the
+	// active phase; djExact marks them as freshly recomputed from the
+	// basis (a terminal optimal/unbounded verdict is only ever issued off
+	// exact values); djValid marks them usable at all (Bland-mode pivots
+	// skip maintenance and invalidate them). gamma holds the devex
+	// reference weights; cand the retained candidate buffer of partial
+	// pricing; scanFrom the rotating scan cursor.
 	dj       []float64
 	gamma    []float64
 	djExact  bool
@@ -187,7 +178,7 @@ type tableau struct {
 	warmHits   int
 	warmMisses int
 	dualPivots int
-	// Sparse-engine counters: basis factorizations (initial, periodic
+	// Linear-algebra counters: basis factorizations (initial, periodic
 	// and recovery), eta updates appended between them, columns examined
 	// by pricing, and the worst relative primal drift observed at a
 	// periodic check.
@@ -201,7 +192,7 @@ type tableau struct {
 	lastOptimal bool
 	ctx         context.Context // nil when the solve is not cancellable
 	limit       string          // lp.Limit* cause when iterate stops early
-	workCol     []float64       // FTRAN result w = Binv·A_j
+	workCol     []float64       // FTRAN result w = B⁻¹·A_j
 	workRow     []float64       // BTRAN result y
 	pricedCost  []float64       // cost vector of the active phase
 	resid       []float64       // scratch: initial residuals
@@ -262,19 +253,8 @@ func (t *tableau) reset(model *lp.Model, opts *Options) error {
 	t.workCol = reuseF64(t.workCol, m)
 	t.workRow = reuseF64(t.workRow, m)
 	t.xB = reuseF64(t.xB, m)
-	if t.opts.DenseLA {
-		t.binv = reuseF64(t.binv, m*m)
-		t.la = nil
-	} else {
-		// The sparse engine never materializes the m×m inverse; its
-		// factors and eta file live in t.la and are rebuilt per solve.
-		t.binv = nil
-		if t.la == nil {
-			t.la = &sparseLA{}
-		}
-		t.dj = reuseF64(t.dj, t.nTotal)
-		t.gamma = reuseF64(t.gamma, t.nTotal)
-	}
+	t.dj = reuseF64(t.dj, t.nTotal)
+	t.gamma = reuseF64(t.gamma, t.nTotal)
 	t.alpha = reuseF64(t.alpha, t.nTotal)
 	t.touch = reuseI32(t.touch, t.nTotal)
 	t.alphaNZ = t.alphaNZ[:0]
@@ -379,20 +359,14 @@ func (t *tableau) solve() (*lp.Solution, error) {
 		t.status[a] = basic
 		t.basicIn[r] = int32(a)
 		t.inRow[a] = int32(r)
-		if t.la == nil {
-			// Binv = inverse of diag(±1) = diag(±1).
-			t.binv[r*m+r] = t.cols[a].coefs[0]
-		}
 		if av > lp.FeasTol {
 			needPhase1 = true
 		}
 	}
-	if t.la != nil {
-		// Factorize the (trivially triangular) artificial basis so the
-		// first FTRAN/BTRAN have factors to solve against.
-		if err := t.factorizeBasis(); err != nil {
-			return nil, err
-		}
+	// Factorize the (trivially triangular) artificial basis so the first
+	// FTRAN/BTRAN have factors to solve against.
+	if err := t.factorizeBasis(); err != nil {
+		return nil, err
 	}
 
 	if needPhase1 {
@@ -512,32 +486,12 @@ func (t *tableau) phaseObjective() float64 {
 }
 
 // computeDuals fills y (len m) with cB' · B⁻¹ for the active cost
-// vector: one BTRAN on the sparse engine, a row-combination of the
-// explicit inverse on the dense one.
+// vector: one BTRAN.
 func (t *tableau) computeDuals(y []float64) {
-	m := t.m
-	if t.la != nil {
-		for r := 0; r < m; r++ {
-			y[r] = t.pricedCost[t.basicIn[r]]
-		}
-		t.la.btran(y)
-		return
+	for r := 0; r < t.m; r++ {
+		y[r] = t.pricedCost[t.basicIn[r]]
 	}
-	for i := range y {
-		y[i] = 0
-	}
-	for r := 0; r < m; r++ {
-		cb := t.pricedCost[t.basicIn[r]]
-		if tol.IsZero(cb) {
-			continue
-		}
-		row := t.binv[r*m : (r+1)*m]
-		for i, v := range row {
-			if !tol.IsZero(v) {
-				y[i] += cb * v
-			}
-		}
-	}
+	t.la.btran(y)
 }
 
 // reducedCost returns c_j − y'A_j.
@@ -552,154 +506,15 @@ func (t *tableau) reducedCost(j int, y []float64) float64 {
 
 // ftran computes w = B⁻¹ · A_j into t.workCol.
 func (t *tableau) ftran(j int) {
-	m := t.m
 	w := t.workCol
 	for i := range w {
 		w[i] = 0
 	}
 	c := t.cols[j]
-	if t.la != nil {
-		for k, r := range c.rows {
-			w[r] = c.coefs[k]
-		}
-		t.la.ftran(w)
-		return
-	}
 	for k, r := range c.rows {
-		coef := c.coefs[k]
-		if tol.IsZero(coef) {
-			continue
-		}
-		ri := int(r)
-		for i := 0; i < m; i++ {
-			w[i] += coef * t.binv[i*m+ri]
-		}
+		w[r] = c.coefs[k]
 	}
-}
-
-// iterate runs primal simplex pivots until optimal/unbounded/limit for
-// the current phase, dispatching to the engine the tableau was reset
-// for. It returns StatusOptimal when no improving column remains (which
-// in phase 1 means phase-1-optimal, not necessarily feasible).
-func (t *tableau) iterate() (lp.Status, error) {
-	if t.la != nil {
-		return t.iterateSparse()
-	}
-	return t.iterateDense()
-}
-
-// iterateDense is the reference engine's pivot loop: exact duals from
-// the explicit inverse every iteration, full Dantzig pricing.
-func (t *tableau) iterateDense() (lp.Status, error) {
-	const pivTol = tol.Pivot
-	y := t.workRow
-	for {
-		if t.iters >= t.opts.MaxIters {
-			t.limit = lp.LimitIterations
-			return lp.StatusIterLimit, nil
-		}
-		// Cancellation and deadline are polled coarsely: the checks cost a
-		// clock read (deadline) or an atomic load (ctx), and 128 pivots is
-		// far below any caller-visible latency budget.
-		if t.iters&127 == 0 {
-			if t.ctx != nil {
-				if err := t.ctx.Err(); err != nil {
-					return 0, fmt.Errorf("simplex: canceled after %d iterations: %w", t.iters, err)
-				}
-			}
-			if !t.opts.Deadline.IsZero() && time.Now().After(t.opts.Deadline) {
-				t.limit = lp.LimitWallClock
-				return lp.StatusIterLimit, nil
-			}
-		}
-		if t.opts.Inject.Fire(faultinject.SiteStall) {
-			// Injected cycling: behave exactly like a stall that exhausted
-			// the iteration budget.
-			t.limit = lp.LimitIterations
-			return lp.StatusIterLimit, nil
-		}
-		t.computeDuals(y)
-
-		// Pricing: pick entering column.
-		enter := -1
-		var enterDir float64
-		best := tol.Opt
-		limit := t.nTotal
-		if t.phase == 2 {
-			limit = t.nStruct + t.m // artificials frozen; skip pricing them
-		}
-		for j := 0; j < limit; j++ {
-			st := t.status[j]
-			if st == basic {
-				continue
-			}
-			if tol.Same(t.lower[j], t.upper[j]) && st != freeAtZero {
-				continue // fixed
-			}
-			d := t.reducedCost(j, y)
-			var viol float64
-			var dir float64
-			switch st {
-			case atLower:
-				viol, dir = -d, 1
-			case atUpper:
-				viol, dir = d, -1
-			case freeAtZero:
-				if d < 0 {
-					viol, dir = -d, 1
-				} else {
-					viol, dir = d, -1
-				}
-			}
-			if viol > best {
-				if t.blandMode {
-					// Bland: first eligible index.
-					enter, enterDir = j, dir
-					break
-				}
-				best = viol
-				enter, enterDir = j, dir
-			}
-		}
-		if enter < 0 {
-			return lp.StatusOptimal, nil
-		}
-		if t.opts.Inject.Fire(faultinject.SitePivot) {
-			return 0, fmt.Errorf("simplex: injected pivot failure at iteration %d (fault injection)", t.iters)
-		}
-
-		t.ftran(enter)
-		w := t.workCol
-
-		tMax, leaveRow, leaveToUpper := t.ratioTest(enter, enterDir, w)
-		if math.IsInf(tMax, 1) {
-			if t.phase == 1 {
-				return 0, fmt.Errorf("simplex: phase-1 unbounded (numerical failure)")
-			}
-			return lp.StatusUnbounded, nil
-		}
-
-		t.recordStep(enterDir, tMax, w)
-
-		if leaveRow < 0 {
-			t.boundFlip(enter, enterDir)
-			continue
-		}
-
-		// Pivot: entering becomes basic in leaveRow.
-		if math.Abs(w[leaveRow]) < pivTol {
-			// Numerically unusable pivot: refactorize and retry, or fail.
-			if t.refactors < 5 {
-				if err := t.refactorize(); err != nil {
-					return 0, err
-				}
-				continue
-			}
-			return 0, fmt.Errorf("simplex: pivot element %g too small after %d refactorizations", w[leaveRow], t.refactors)
-		}
-
-		t.pivotBasis(enter, leaveRow, enterDir, tMax, leaveToUpper, w)
-	}
+	t.la.ftran(w)
 }
 
 // ratioTest finds the row limiting the entering column's move in
@@ -811,7 +626,8 @@ func (t *tableau) pivotBasis(enter, leaveRow int, enterDir, tMax float64, leaveT
 	t.value[enter] = enterVal
 	t.xB[leaveRow] = enterVal
 
-	t.updateBasisLA(leaveRow, w)
+	t.la.etas.push(leaveRow, w)
+	t.etaUpdates++
 }
 
 // better is the tie-break in the ratio test: prefer the row with the
@@ -827,27 +643,10 @@ func better(cur, cand int, w []float64, t *tableau) bool {
 	return math.Abs(w[cand]) > math.Abs(w[cur])
 }
 
-// updateBasisLA records the basis change of a pivot in row r with FTRAN
-// column w against the active linear-algebra backend: an eta appended to
-// the sparse engine's eta file, a product-form update of the dense
-// engine's explicit inverse.
-func (t *tableau) updateBasisLA(r int, w []float64) {
-	if t.la != nil {
-		t.la.etas.push(r, w)
-		t.etaUpdates++
-		return
-	}
-	t.updateBinv(r, w)
-}
-
-// binvRow returns row r of B⁻¹: a direct slice of the explicit inverse
-// on the dense engine, BTRAN(e_r) into the t.rho scratch on the sparse
-// one. The returned slice is only valid until the next binvRow call or
-// basis change.
+// binvRow returns row r of B⁻¹, computed as BTRAN(e_r) into the t.rho
+// scratch. The returned slice is only valid until the next binvRow call
+// or basis change.
 func (t *tableau) binvRow(r int) []float64 {
-	if t.la == nil {
-		return t.binv[r*t.m : (r+1)*t.m]
-	}
 	t.rho = reuseF64(t.rho, t.m)
 	rho := t.rho
 	for i := range rho {
@@ -858,34 +657,8 @@ func (t *tableau) binvRow(r int) []float64 {
 	return rho
 }
 
-// updateBinv applies the product-form update for a pivot in row r with
-// FTRAN column w: Binv ← E·Binv where E is the identity except column r.
-func (t *tableau) updateBinv(r int, w []float64) {
-	m := t.m
-	piv := w[r]
-	pivRow := t.binv[r*m : (r+1)*m]
-	inv := 1 / piv
-	for k := range pivRow {
-		pivRow[k] *= inv
-	}
-	for i := 0; i < m; i++ {
-		if i == r {
-			continue
-		}
-		f := w[i]
-		if tol.IsZero(f) {
-			continue
-		}
-		row := t.binv[i*m : (i+1)*m]
-		for k := range row {
-			row[k] -= f * pivRow[k]
-		}
-	}
-}
-
 // recomputeXB recomputes basic values exactly from nonbasic values:
-// xB = B⁻¹·(b − N·xN). One FTRAN on the sparse engine, an explicit
-// inverse-times-vector on the dense one.
+// xB = B⁻¹·(b − N·xN), one FTRAN.
 func (t *tableau) recomputeXB() {
 	m := t.m
 	t.rhsBuf = reuseF64(t.rhsBuf, m)
@@ -900,32 +673,18 @@ func (t *tableau) recomputeXB() {
 			rhs[r] -= c.coefs[k] * t.value[j]
 		}
 	}
-	if t.la != nil {
-		t.la.ftran(rhs)
-		for i := 0; i < m; i++ {
-			t.xB[i] = rhs[i]
-			t.value[t.basicIn[i]] = rhs[i]
-		}
-		return
-	}
+	t.la.ftran(rhs)
 	for i := 0; i < m; i++ {
-		row := t.binv[i*m : (i+1)*m]
-		s := 0.0
-		for k, v := range row {
-			if !tol.IsZero(v) {
-				s += v * rhs[k]
-			}
-		}
-		t.xB[i] = s
-		t.value[t.basicIn[i]] = s
+		t.xB[i] = rhs[i]
+		t.value[t.basicIn[i]] = rhs[i]
 	}
 }
 
 // refactorize rebuilds the basis operator from the current basis columns
 // and recomputes basic values. It is the recovery entry point (tiny
-// pivots, drift, eta-file cap); the refactors counter feeds the existing
-// simplex.refactors metric while factorizeBasis counts every
-// factorization including the initial one.
+// pivots, drift, eta-file cap, basis install); the refactors counter caps
+// the tiny-pivot retries, while factorizeBasis counts every factorization
+// including the initial one for the simplex.factorizations metric.
 func (t *tableau) refactorize() error {
 	t.refactors++
 	if err := t.factorizeBasis(); err != nil {
@@ -935,70 +694,16 @@ func (t *tableau) refactorize() error {
 	return nil
 }
 
-// factorizeBasis rebuilds the basis operator alone: a sparse LU (and an
-// emptied eta file) on the sparse engine, Gauss-Jordan elimination with
-// partial pivoting on the dense one. Basic values are not touched.
+// factorizeBasis rebuilds the basis operator alone: a sparse LU and an
+// emptied eta file. Basic values are not touched.
 func (t *tableau) factorizeBasis() error {
 	t.factorizations++
-	if t.la != nil {
-		if err := t.la.refactor(t.m, t.cols, t.basicIn); err != nil {
-			return err
-		}
-		// Maintained reduced costs survive a refactorization (the basis is
-		// unchanged) but are no longer verified against fresh factors.
-		t.djExact = false
-		return nil
+	if err := t.la.refactor(t.m, t.cols, t.basicIn); err != nil {
+		return err
 	}
-	m := t.m
-	// Build dense B.
-	bm := make([]float64, m*m)
-	for r := 0; r < m; r++ {
-		c := t.cols[t.basicIn[r]]
-		for k, ri := range c.rows {
-			bm[int(ri)*m+r] = c.coefs[k]
-		}
-	}
-	inv := make([]float64, m*m)
-	for i := 0; i < m; i++ {
-		inv[i*m+i] = 1
-	}
-	for col := 0; col < m; col++ {
-		// Partial pivot.
-		p := col
-		best := math.Abs(bm[col*m+col])
-		for r := col + 1; r < m; r++ {
-			if a := math.Abs(bm[r*m+col]); a > best {
-				best, p = a, r
-			}
-		}
-		if best < tol.Singular {
-			return fmt.Errorf("simplex: singular basis during refactorization (column %d)", col)
-		}
-		if p != col {
-			swapRows(bm, m, p, col)
-			swapRows(inv, m, p, col)
-		}
-		piv := bm[col*m+col]
-		invPiv := 1 / piv
-		for k := 0; k < m; k++ {
-			bm[col*m+k] *= invPiv
-			inv[col*m+k] *= invPiv
-		}
-		for r := 0; r < m; r++ {
-			if r == col {
-				continue
-			}
-			f := bm[r*m+col]
-			if tol.IsZero(f) {
-				continue
-			}
-			for k := 0; k < m; k++ {
-				bm[r*m+k] -= f * bm[col*m+k]
-				inv[r*m+k] -= f * inv[col*m+k]
-			}
-		}
-	}
-	t.binv = inv
+	// Maintained reduced costs survive a refactorization (the basis is
+	// unchanged) but are no longer verified against fresh factors.
+	t.djExact = false
 	return nil
 }
 
@@ -1029,7 +734,6 @@ func (t *tableau) foldMetrics() {
 	m.Add(obs.MetricSimplexPhase1, int64(t.p1Iters))
 	m.Add(obs.MetricSimplexDegenerate, int64(t.degenTotal))
 	m.Add(obs.MetricSimplexBland, int64(t.blandFlips))
-	m.Add(obs.MetricSimplexRefactors, int64(t.refactors))
 	m.Observe(obs.MetricHistPivotsPerSolve, float64(t.iters))
 	// Warm counters are folded only when nonzero: Add creates the key
 	// even for a zero delta, and cold-only runs must not grow their
@@ -1043,8 +747,7 @@ func (t *tableau) foldMetrics() {
 	if t.dualPivots > 0 {
 		m.Add(obs.MetricSimplexDualPivots, int64(t.dualPivots))
 	}
-	// Sparse-engine counters, likewise folded only when nonzero so the
-	// dense reference engine's metric snapshots do not grow new keys.
+	// Linear-algebra counters, likewise folded only when nonzero.
 	if t.factorizations > 0 {
 		m.Add(obs.MetricSimplexFactorizations, int64(t.factorizations))
 	}
@@ -1056,13 +759,5 @@ func (t *tableau) foldMetrics() {
 	}
 	if t.driftMax > 0 {
 		m.MaxGauge(obs.MetricSimplexRefactorDriftMax, t.driftMax)
-	}
-}
-
-func swapRows(a []float64, m, i, j int) {
-	ri := a[i*m : (i+1)*m]
-	rj := a[j*m : (j+1)*m]
-	for k := range ri {
-		ri[k], rj[k] = rj[k], ri[k]
 	}
 }

@@ -51,6 +51,7 @@ func TestSolveEqualityAndGE(t *testing.T) {
 	if math.Abs(sol.Objective-26) > 1e-6 {
 		t.Errorf("objective = %v, want 26", sol.Objective)
 	}
+	matchesExact(t, "eqge", m, sol)
 }
 
 func TestSolveInfeasible(t *testing.T) {
@@ -83,6 +84,7 @@ func TestSolveUnbounded(t *testing.T) {
 	if sol.Status != lp.StatusUnbounded {
 		t.Fatalf("status = %v, want unbounded", sol.Status)
 	}
+	matchesExact(t, "unbounded", m, sol)
 }
 
 func TestSolveFreeVariable(t *testing.T) {
@@ -94,6 +96,23 @@ func TestSolveFreeVariable(t *testing.T) {
 	if sol.Status != lp.StatusOptimal || math.Abs(sol.Objective-(-7)) > 1e-7 {
 		t.Fatalf("status %v obj %v, want optimal -7", sol.Status, sol.Objective)
 	}
+	matchesExact(t, "free", m, sol)
+}
+
+func TestSolveUpperBoundOnly(t *testing.T) {
+	// min x + y  with x ≤ 4, y ≤ 3 and no lower bounds, x + 2y >= -6,
+	// 2x + y >= -6. Both start at their upper bounds; summing the rows
+	// gives x + y >= -4, reached at x = y = -2.
+	m := lp.NewModel("upper")
+	x := m.AddContinuous("x", math.Inf(-1), 4, 1)
+	y := m.AddContinuous("y", math.Inf(-1), 3, 1)
+	m.AddRow("a", []lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 2}}, lp.GE, -6)
+	m.AddRow("b", []lp.Term{{Var: x, Coef: 2}, {Var: y, Coef: 1}}, lp.GE, -6)
+	sol := solveOrFatal(t, m)
+	if sol.Status != lp.StatusOptimal || math.Abs(sol.Objective-(-4)) > 1e-7 {
+		t.Fatalf("status %v obj %v, want optimal -4", sol.Status, sol.Objective)
+	}
+	matchesExact(t, "upper", m, sol)
 }
 
 func TestSolveNegativeLowerBounds(t *testing.T) {

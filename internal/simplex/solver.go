@@ -50,6 +50,9 @@ func (s *Solver) SolveContext(ctx context.Context, model *lp.Model) (*lp.Solutio
 }
 
 func (s *Solver) solve(ctx context.Context, model *lp.Model, basis *Basis) (*lp.Solution, error) {
+	// The early returns below never reach reset; without this, Basis and
+	// TableauView would keep describing the previous solve.
+	s.t.lastOptimal = false
 	if err := model.Err(); err != nil {
 		return nil, fmt.Errorf("simplex: invalid model: %w", err)
 	}

@@ -10,13 +10,11 @@ import (
 	"github.com/etransform/etransform/internal/tol"
 )
 
-// This file is the sparse engine's pivot loop: devex pricing over
-// maintained reduced costs with partial candidate scans, FTRAN/BTRAN
-// against the LU + eta-file operator in lu.go, and the refactorization
-// policy (eta-count cap, periodic drift check). The dense loop in
-// simplex.go remains as an independently implemented reference engine;
-// both share the ratio test, step/pivot bookkeeping and fault-injection
-// sites, so they differ only in pricing and linear algebra.
+// This file is the primal pivot loop: devex pricing over maintained
+// reduced costs with partial candidate scans, FTRAN/BTRAN against the
+// LU + eta-file operator in lu.go, and the refactorization policy
+// (eta-count cap, periodic drift check). The ratio test and the
+// step/pivot bookkeeping live in simplex.go.
 
 const (
 	// devexResetLimit bounds the devex reference weights: when the
@@ -40,12 +38,14 @@ const (
 	priceBufferMin = 8
 )
 
-// iterateSparse runs the revised-simplex pivot loop for the current
-// phase. Pricing works off maintained (incrementally updated) reduced
-// costs, so a terminal verdict is only ever issued after recomputing
-// them exactly from the current factors: approximations steer the route,
-// never the answer.
-func (t *tableau) iterateSparse() (lp.Status, error) {
+// iterate runs the revised-simplex pivot loop for the current phase
+// until optimal, unbounded or a limit. StatusOptimal means no improving
+// column remains (in phase 1: phase-1-optimal, not necessarily
+// feasible). Pricing works off maintained (incrementally updated)
+// reduced costs, so a terminal verdict is only ever issued after
+// recomputing them exactly from the current factors: approximations
+// steer the route, never the answer.
+func (t *tableau) iterate() (lp.Status, error) {
 	const pivTol = tol.Pivot
 	// Each phase prices its own cost vector: start from exact reduced
 	// costs and a fresh devex framework.
@@ -326,8 +326,7 @@ func (t *tableau) priceDevex() (int, float64) {
 }
 
 // priceBland computes exact duals and returns the first eligible column
-// in index order — Bland's anti-cycling rule, identical to the dense
-// engine's stalled-mode pricing.
+// in index order — Bland's anti-cycling rule.
 func (t *tableau) priceBland() (int, float64) {
 	y := t.workRow
 	t.computeDuals(y)

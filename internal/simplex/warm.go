@@ -221,7 +221,7 @@ func (t *tableau) installBasis(b *Basis) bool {
 			return false
 		}
 	}
-	// Rebuild Binv and the basic values from the installed basis. A
+	// Rebuild the factors and the basic values from the installed basis. A
 	// singular basis under the child's data means the snapshot is stale.
 	if err := t.refactorize(); err != nil {
 		return false
@@ -293,10 +293,10 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 			t.limit = lp.LimitWallClock
 			return restoreLimit, nil
 		}
-		// Restoration can run past the sparse engine's eta-file cap;
-		// collapse the file on the same trigger the pivot loop uses. A
-		// singular basis mid-restore means the snapshot went stale.
-		if t.la != nil && t.la.etas.count() >= t.opts.RefactorEvery {
+		// Restoration can run past the eta-file cap; collapse the file on
+		// the same trigger the pivot loop uses. A singular basis
+		// mid-restore means the snapshot went stale.
+		if t.la.etas.count() >= t.opts.RefactorEvery {
 			if err := t.refactorize(); err != nil {
 				return restoreStale, nil
 			}
@@ -361,7 +361,7 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 		}
 
 		t.ftran(enter)
-		w := t.workCol // w[r] equals enterAlpha: both are Binv row r · A_j
+		w := t.workCol // w[r] equals enterAlpha: both are B⁻¹ row r · A_j
 
 		step := (t.xB[r] - target) / (enterDir * w[r])
 		if step < 0 {
@@ -407,7 +407,8 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 		t.status[enter] = basic
 		t.value[enter] = enterVal
 		t.xB[r] = enterVal
-		t.updateBasisLA(r, w)
+		t.la.etas.push(r, w)
+		t.etaUpdates++
 	}
 	return restoreStale, nil
 }

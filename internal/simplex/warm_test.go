@@ -254,6 +254,40 @@ func TestWarmBasisAvailability(t *testing.T) {
 	}
 }
 
+// TestBasisClearedByEarlyReturnSolve: a solve that returns before the
+// tableau is reset (no variables, or an invalid model) must still clear
+// the previous solve's basis, so Basis and TableauView report nil.
+func TestBasisClearedByEarlyReturnSolve(t *testing.T) {
+	tiny := lp.NewModel("tiny")
+	x := tiny.AddContinuous("x", 0, 4, -1)
+	tiny.AddRow("cap", []lp.Term{{Var: x, Coef: 1}}, lp.LE, 3)
+	bad := lp.NewModel("bad")
+	y := bad.AddContinuous("y", 0, 1, 1)
+	bad.AddRow("nan", []lp.Term{{Var: y, Coef: math.NaN()}}, lp.LE, 1)
+	for _, tc := range []struct {
+		next    *lp.Model
+		wantErr bool
+	}{{lp.NewModel("empty"), false}, {bad, true}} {
+		s := NewSolver(nil)
+		if sol, err := s.Solve(tiny); err != nil || sol.Status != lp.StatusOptimal {
+			t.Fatalf("tiny: %v, %v", sol, err)
+		}
+		if s.Basis() == nil || s.TableauView() == nil {
+			t.Fatal("no basis after an optimal solve")
+		}
+		name := tc.next.Name
+		if _, err := s.Solve(tc.next); (err != nil) != tc.wantErr {
+			t.Fatalf("%s: err = %v, want error %v", name, err, tc.wantErr)
+		}
+		if b := s.Basis(); b != nil {
+			t.Errorf("%s: Basis() = %+v after the solve, want nil", name, b)
+		}
+		if s.TableauView() != nil {
+			t.Errorf("%s: TableauView() non-nil after the solve", name)
+		}
+	}
+}
+
 // TestWarmBasisOutlivesSolver: the snapshot must stay valid after the
 // solver that produced it moves on to other models.
 func TestWarmBasisOutlivesSolver(t *testing.T) {

@@ -46,6 +46,11 @@
 #                  the same state — byte-equal after dropping the two
 #                  wall-clock fields — then resubmit the same state and
 #                  require a cache hit (serve.cache_hits counter)
+#  15. perfbench   vet and test the benchmark module, which imports
+#                  program identifiers no other stage builds against,
+#                  then smoke-run both workloads for one second each: the
+#                  last line of each run must report correct with no
+#                  failed ops
 #
 # Run from anywhere; it operates on the repo root. Exits non-zero on the
 # first failing stage.
@@ -247,5 +252,20 @@ echo "    cache hit on resubmission (serve.cache_hits=$hits)"
 kill "$ETSERVE_PID" 2>/dev/null || true
 wait "$ETSERVE_PID" 2>/dev/null || true
 trap 'rm -rf "$SMOKE_DIR"' EXIT
+
+echo "==> perfbench build + one-second smoke (plan-dr, serve-mix)"
+(cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
+for w in plan-dr serve-mix; do
+    rc=0
+    bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 \
+        > "$SMOKE_DIR/perfbench-$w.txt" 2>&1 || rc=$?
+    if [ "$rc" -ne 0 ] || ! tail -n 1 "$SMOKE_DIR/perfbench-$w.txt" \
+        | jq -e '.correct and .failed == 0' > /dev/null; then
+        echo "perfbench $w smoke: exit $rc, or the last line is not correct with 0 failed:" >&2
+        cat "$SMOKE_DIR/perfbench-$w.txt" >&2
+        exit 1
+    fi
+    echo "    perfbench $w: correct, 0 failed"
+done
 
 echo "==> all checks passed"
