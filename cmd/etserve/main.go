@@ -53,6 +53,16 @@ func main() {
 	}
 }
 
+// Server timeouts. A client has readHeaderTimeout to send its request
+// headers and idleTimeout to start its next request on a kept-alive
+// connection, so stalled or abandoned connections cannot hold server
+// goroutines open. There is no read or write timeout: a large state may
+// upload slowly, and /events streams for a whole solve.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // multiFlag collects repeated flag values.
 type multiFlag []string
 
@@ -147,7 +157,11 @@ func run(args []string) error {
 	}
 	fmt.Printf("etserve listening on http://%s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

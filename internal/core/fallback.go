@@ -24,8 +24,8 @@ import (
 //	         branching order under Bland's pivoting rule;
 //	stage 2  LP-relaxation rounding with greedy repair;
 //	stage 3  the greedy baseline (internal/baseline), falling back to the
-//	         builder's constraint-aware greedy when pins or forbidden
-//	         sites defeat the plain baseline.
+//	         cheapest LP-free heuristic point (warm.go) when pins,
+//	         forbidden sites or pruned columns defeat the plain baseline.
 //
 // Every stage's product — including the exact solver's — passes through
 // internal/certify before it is decoded, so no stage can ship an
@@ -433,31 +433,21 @@ func (b *builder) roundedPlacement(x []float64) (placement, secondary []int, ok 
 	return placement, secondary, true
 }
 
-// greedyPlan is stage 3: the paper's greedy baseline first (certified
-// like everything else), then the builder's constraint-aware greedy when
-// pins, forbidden sites or pruned columns defeat the plain baseline.
+// greedyPlan is stage 3: the paper's greedy baseline (§VI-B) first,
+// certified like everything else, else the cheapest LP-free heuristic
+// point (heuristicPoints), which honours the pins, forbidden sites and
+// pruned columns that defeat the plain baseline.
 func (b *builder) greedyPlan() (*model.Plan, error) {
 	if placement, secondary, ok := b.baselineGreedyPoint(); ok {
 		if plan, err := b.planFromPoint(placement, secondary); err == nil {
 			return plan, nil
 		}
 	}
-	placement, ok := b.greedyPlacement()
-	if !ok {
-		return nil, fmt.Errorf("core: greedy packing found no feasible site for some group")
+	pts := b.heuristicPoints()
+	if len(pts) == 0 {
+		return nil, fmt.Errorf("core: the LP-free heuristics found no feasible assignment")
 	}
-	var secondary []int
-	if b.p.opts.DR {
-		sec, ok := b.latencyFirstSecondaries(placement, b.poolRank())
-		if !ok {
-			return nil, fmt.Errorf("core: greedy packing found no feasible secondary assignment")
-		}
-		secondary = sec
-	}
-	if b.improvable() {
-		b.localImprove(placement, secondary, 2)
-	}
-	return b.planFromPoint(placement, secondary)
+	return b.planFromPoint(pts[0].placement, pts[0].secondary)
 }
 
 // baselineGreedyPoint runs the plain greedy baseline (§VI-B) and maps

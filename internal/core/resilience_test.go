@@ -2,11 +2,13 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/etransform/etransform/internal/baseline"
 	"github.com/etransform/etransform/internal/lp"
 	"github.com/etransform/etransform/internal/model"
 	"github.com/etransform/etransform/internal/resilience/faultinject"
@@ -119,6 +121,68 @@ func TestFallbackCascadesToGreedy(t *testing.T) {
 	}
 	if plan.Stats.Certificate == "" {
 		t.Error("greedy fallback plan was not certified")
+	}
+}
+
+// TestGreedyStageHonoursPins: a pin the greedy baseline ignores sends
+// stage 3 to the cheapest LP-free heuristic point, which must honour the
+// pin and, under DR, give every group a distinct secondary and a backup
+// pool.
+func TestGreedyStageHonoursPins(t *testing.T) {
+	for _, dr := range []bool{false, true} {
+		for seed := int64(1); seed <= 20; seed++ {
+			t.Run(fmt.Sprintf("dr=%v/seed=%d", dr, seed), func(t *testing.T) {
+				s := randomState(rand.New(rand.NewSource(seed)), 8, 3, 2, dr)
+				greedy, err := baseline.Greedy(s, baseline.GreedyOptions{DR: dr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				group := s.Groups[0].ID
+				pin := ""
+				for _, dc := range s.Target.DCs {
+					if dc.ID != greedy.AssignmentFor(group).PrimaryDC {
+						pin = dc.ID
+						break
+					}
+				}
+				opts := Options{DR: dr}
+				opts.Solver.Simplex.Inject = faultinject.New(1, faultinject.Fault{Kind: faultinject.KindCorrupt, Count: -1})
+				p, err := New(s, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Pin(group, pin); err != nil {
+					t.Fatal(err)
+				}
+				plan, err := p.Solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := plan.Stats.Degradation; d == nil || d.Stage != lp.StageGreedy || d.StageIndex != 3 {
+					t.Fatalf("degradation = %+v, want greedy/3", d)
+				}
+				if got := plan.AssignmentFor(group).PrimaryDC; got != pin {
+					t.Errorf("pinned group %s placed at %s, want %s", group, got, pin)
+				}
+				if plan.Stats.Certificate == "" {
+					t.Error("greedy-stage plan was not certified")
+				}
+				if _, err := model.EvaluatePlan(s, plan); err != nil {
+					t.Errorf("greedy-stage plan fails evaluation: %v", err)
+				}
+				if !dr {
+					return
+				}
+				for _, a := range plan.Assignments {
+					if a.SecondaryDC == "" || a.SecondaryDC == a.PrimaryDC {
+						t.Fatalf("assignment %+v lacks a distinct secondary", a)
+					}
+				}
+				if len(plan.BackupServers) == 0 {
+					t.Error("DR greedy-stage plan has no backup pools")
+				}
+			})
+		}
 	}
 }
 

@@ -2,27 +2,34 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"github.com/etransform/etransform/internal/model"
 	"github.com/etransform/etransform/internal/tol"
 )
 
-// This file implements the planner's warm-start heuristic for DR solves.
-// The DR MILP's LP relaxation understates the shared-pool cost (a
-// fractional solution spreads each group's secondary across many sites,
-// deflating every G_b ≥ Σ demand row), so branch & bound needs a strong
-// incumbent to prune against. The heuristic constructs the structures the
-// optimum actually takes — primaries spread over the k cheapest sites
-// with all secondaries routed to a common pool site — for every k, and
-// feeds each encoding to the solver as a candidate incumbent.
+// This file implements the planner's LP-free primal heuristic. The DR
+// MILP's LP relaxation understates the shared-pool cost (a fractional
+// solution spreads each group's secondary across many sites, deflating
+// every G_b ≥ Σ demand row), so branch & bound needs a strong incumbent
+// to prune against. The heuristic constructs the structure the optimum
+// actually takes — primaries spread over the k cheapest sites with the
+// secondaries routed to a common pool site — for every k, and polishes
+// the cheapest construction with local search. The same points seed the
+// exact search (warmStarts) and back the last fallback stage
+// (greedyPlan).
 
-// warmStarts returns candidate feasible points: a greedy packing for
-// plain consolidation models, and structured pool/latency variants for
-// pair-formulation DR models.
-func (b *builder) warmStarts() [][]float64 {
-	if b.p.opts.DR && b.p.opts.Formulation == FormulationPaper {
-		return nil
-	}
+// heuristicPoint is one concrete assignment: a primary site per group
+// and, under DR, a secondary site per group (nil otherwise).
+type heuristicPoint struct {
+	placement, secondary []int
+}
+
+// heuristicPoints returns the LP-free assignments, cheapest first: for
+// plain consolidation the greedy packing polished by two local-search
+// passes; under DR one pool construction per prefix of the k cheapest
+// sites (k ≤ 12), the cheapest polished by three passes.
+func (b *builder) heuristicPoints() []heuristicPoint {
 	if !b.p.opts.DR {
 		placement, ok := b.greedyPlacement()
 		if !ok {
@@ -31,10 +38,7 @@ func (b *builder) warmStarts() [][]float64 {
 		if b.improvable() {
 			b.localImprove(placement, nil, 2)
 		}
-		if x, ok := b.encodePoint(placement, nil); ok {
-			return [][]float64{x}
-		}
-		return nil
+		return []heuristicPoint{{placement: placement}}
 	}
 	s := b.s
 	n := len(s.Target.DCs)
@@ -44,71 +48,40 @@ func (b *builder) warmStarts() [][]float64 {
 	rank := sortedIndices(n, perServer)
 	poolRank := b.poolRank()
 
-	maxK := n
-	if maxK > 12 {
-		maxK = 12
-	}
-	type cand struct {
-		placement, secondary []int
-		cost                 float64
-	}
-	var cands []cand
-	add := func(placement, secondary []int) {
-		cands = append(cands, cand{placement, secondary, b.evalTotal(placement, secondary)})
-	}
-	for k := 1; k <= maxK; k++ {
-		// Variant A: primaries on the k cheapest sites; pool wherever
-		// cheapest (good when DR servers are cheap and consolidation
-		// dominates).
-		// Variant B: reserve the cheapest pool site exclusively for
-		// backups so a single shared pool of max-single-failure size
-		// covers everyone (good when DR servers are expensive).
-		variants := [][]int{rank[:k:k]}
-		if n > k {
-			var exclusive []int
-			for _, j := range rank {
-				if j != poolRank[0] {
-					exclusive = append(exclusive, j)
-				}
-				if len(exclusive) == k {
-					break
-				}
-			}
-			variants = append(variants, exclusive)
+	var pts []heuristicPoint
+	var costs []float64
+	for k := 1; k <= min(n, 12); k++ {
+		placement, secondary, ok := b.heuristicDRPlacement(rank[:k:k], poolRank)
+		if !ok {
+			continue
 		}
-		for _, prims := range variants {
-			for _, latencyFirst := range []bool{false, true} {
-				placement, secondary, ok := b.heuristicDRPlacement(prims, poolRank, latencyFirst)
-				if !ok {
-					continue
-				}
-				add(placement, secondary)
-			}
-		}
+		pts = append(pts, heuristicPoint{placement, secondary})
+		costs = append(costs, b.evalTotal(placement, secondary))
 	}
-	// One more variant: cost-greedy primaries (which respect latency
-	// penalties) with latency-first secondaries.
-	if placement, ok := b.greedyPlacement(); ok {
-		if secondary, ok := b.latencyFirstSecondaries(placement, poolRank); ok {
-			add(placement, secondary)
-		}
+	order := sortedIndices(len(pts), func(i int) float64 { return costs[i] })
+	sorted := make([]heuristicPoint, len(pts))
+	for r, i := range order {
+		sorted[r] = pts[i]
 	}
-
-	// Polish the most promising candidates with local search before
-	// encoding: the LP bound is too weak for branch & bound to do this
+	// Local search only lowers the cost, so the polished point stays
+	// first. The LP bound is too weak for branch & bound to do this
 	// refinement itself in reasonable time.
-	sortCands := sortedIndices(len(cands), func(i int) float64 { return cands[i].cost })
-	polish := 3
-	if !b.improvable() {
-		polish = 0
+	if len(sorted) > 0 && b.improvable() {
+		b.localImprove(sorted[0].placement, sorted[0].secondary, 3)
+	}
+	return sorted
+}
+
+// warmStarts encodes the heuristic points as candidate incumbents for
+// the exact search. The paper DR formulation cannot encode concrete
+// points, so it gets none.
+func (b *builder) warmStarts() [][]float64 {
+	if b.p.opts.DR && b.p.opts.Formulation == FormulationPaper {
+		return nil
 	}
 	var out [][]float64
-	for rank2, ci := range sortCands {
-		c := cands[ci]
-		if rank2 < polish {
-			b.localImprove(c.placement, c.secondary, 3)
-		}
-		if x, ok := b.encodePoint(c.placement, c.secondary); ok {
+	for _, pt := range b.heuristicPoints() {
+		if x, ok := b.encodePoint(pt.placement, pt.secondary); ok {
 			out = append(out, x)
 		}
 	}
@@ -199,46 +172,10 @@ func (b *builder) greedyPlacement() ([]int, bool) {
 	return placement, true
 }
 
-// latencyFirstSecondaries picks each group's cheapest-latency feasible
-// secondary (ties broken by pool cost), then validates pool capacity.
-func (b *builder) latencyFirstSecondaries(placement []int, poolRank []int) ([]int, bool) {
-	s := b.s
-	n := len(s.Target.DCs)
-	poolPos := make([]int, n)
-	for pos, j := range poolRank {
-		poolPos[j] = pos
-	}
-	secondary := make([]int, len(s.Groups))
-	for i := range s.Groups {
-		g := &s.Groups[i]
-		sec := -1
-		bestCost := math.Inf(1)
-		bestPos := n
-		for j := 0; j < n; j++ {
-			if j == placement[i] || !b.feasibleSecondary(g, j) || !b.hasColumn(i, placement[i], j) {
-				continue
-			}
-			c := b.secondaryCost(g, j)
-			if c < bestCost || (tol.Same(c, bestCost) && poolPos[j] < bestPos) {
-				sec, bestCost, bestPos = j, c, poolPos[j]
-			}
-		}
-		if sec < 0 {
-			return nil, false
-		}
-		secondary[i] = sec
-	}
-	if !b.repairPools(placement, secondary) {
-		return nil, false
-	}
-	return secondary, true
-}
-
 // heuristicDRPlacement spreads primaries across the given sites
-// (load-balanced) and routes secondaries either to a common cheap pool
-// site or, when latencyFirst is set, to each group's cheapest-latency
-// site.
-func (b *builder) heuristicDRPlacement(prims, poolRank []int, latencyFirst bool) (placement, secondary []int, ok bool) {
+// (load-balanced) and routes secondaries to a common cheap pool site,
+// preferring one that hosts no primaries.
+func (b *builder) heuristicDRPlacement(prims, poolRank []int) (placement, secondary []int, ok bool) {
 	s := b.s
 	n := len(s.Target.DCs)
 
@@ -284,67 +221,30 @@ func (b *builder) heuristicDRPlacement(prims, poolRank []int, latencyFirst bool)
 		load[best] += g.Servers
 	}
 
-	// Pool sites: prefer sites not hosting primaries, then by pool cost.
-	inPrims := make(map[int]bool, len(prims))
-	for _, j := range prims {
-		inPrims[j] = true
-	}
-	b1, b2 := -1, -1
+	// The pool site is the cheapest one hosting no primaries (the
+	// cheapest outright when primaries fill every site). A group that
+	// cannot fail over there takes the first feasible distinct site in
+	// pool-cost order.
+	pool := poolRank[0]
 	for _, j := range poolRank {
-		if !inPrims[j] && b1 < 0 {
-			b1 = j
-		}
-	}
-	if b1 < 0 {
-		b1 = poolRank[0]
-	}
-	for _, j := range poolRank {
-		if j != b1 {
-			b2 = j
+		if !slices.Contains(prims, j) {
+			pool = j
 			break
 		}
 	}
-	if b2 < 0 {
-		b2 = b1
-	}
-
+	cands := append([]int{pool}, poolRank...)
 	secondary = make([]int, len(s.Groups))
 	for i := range s.Groups {
 		g := &s.Groups[i]
 		sec := -1
-		if latencyFirst && !g.LatencyPenalty.IsZero() {
-			// Latency-sensitive groups fail over to the cheapest-latency
-			// site; zero-penalty sites still pool well per user class.
-			bestCost := math.Inf(1)
-			for j := 0; j < n; j++ {
-				if j == placement[i] || !b.feasibleSecondary(g, j) || !b.hasColumn(i, placement[i], j) {
-					continue
-				}
-				if c := b.secondaryCost(g, j); c < bestCost {
-					sec, bestCost = j, c
-				}
-			}
-		}
-		for _, cand := range []int{b1, b2} {
-			if sec >= 0 {
+		for _, j := range cands {
+			if j != placement[i] && b.feasibleSecondary(g, j) && b.hasColumn(i, placement[i], j) {
+				sec = j
 				break
-			}
-			if cand != placement[i] && b.feasibleSecondary(g, cand) && b.hasColumn(i, placement[i], cand) {
-				sec = cand
 			}
 		}
 		if sec < 0 {
-			// Fall back to the first feasible distinct site in pool-cost
-			// order.
-			for _, j := range poolRank {
-				if j != placement[i] && b.feasibleSecondary(g, j) && b.hasColumn(i, placement[i], j) {
-					sec = j
-					break
-				}
-			}
-			if sec < 0 {
-				return nil, nil, false
-			}
+			return nil, nil, false
 		}
 		secondary[i] = sec
 	}

@@ -24,7 +24,8 @@
 //
 //	POST   /v1/plans[?prev=<id>]   submit a state, get a job id (202;
 //	                               200 when answered from cache, 429
-//	                               when the queue is full)
+//	                               when the queue is full, 413 when
+//	                               the body exceeds 32 MiB)
 //	GET    /v1/plans/{id}          job status + degradation report
 //	                               (203 for a degraded terminal plan,
 //	                               500 for a failed one)
@@ -39,6 +40,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -193,13 +195,24 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxStateBytes bounds a submitted state body. The full-scale Federal
+// state encodes to about 2.3 MB, so the limit admits estates an order of
+// magnitude larger while bounding what one request can make the server
+// buffer.
+const maxStateBytes = 32 << 20
+
 // handleSubmit accepts an as-is state and returns a job. The body goes
 // through the same decode + validation as the CLI's -state file; ?prev=
 // names an earlier job whose plan seeds this solve.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	state, err := model.ReadState(r.Body)
+	state, err := model.ReadState(http.MaxBytesReader(w, r.Body, maxStateBytes))
 	if err != nil {
 		s.met.Add(obs.MetricServeJobsRejected, 1)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			jsonError(w, http.StatusRequestEntityTooLarge, "state body exceeds %d bytes", maxStateBytes)
+			return
+		}
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

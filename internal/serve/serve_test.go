@@ -459,3 +459,46 @@ func TestWarmPreload(t *testing.T) {
 		t.Fatalf("cache_hits = %d", hits)
 	}
 }
+
+// repeatByte is an endless stream of one byte, so a test can send a
+// huge body without holding it in memory.
+type repeatByte byte
+
+func (r repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(r)
+	}
+	return len(p), nil
+}
+
+// TestSubmitBodyLimit: a body one byte over the limit is answered 413,
+// counted as rejected, and creates no job. The body is the start of a
+// valid state followed by one long string, so only the size limit can
+// stop the decoder.
+func TestSubmitBodyLimit(t *testing.T) {
+	srv, hs := startServer(t, Config{Core: testOptions()})
+	prefix := `{"name":"`
+	body := io.MultiReader(strings.NewReader(prefix),
+		io.LimitReader(repeatByte('a'), maxStateBytes+1-int64(len(prefix))))
+	resp, err := http.Post(hs.URL+"/v1/plans", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body = %d, want 413: %.200s", resp.StatusCode, raw)
+	}
+	if got := srv.Metrics().Counter(obs.MetricServeJobsRejected); got != 1 {
+		t.Errorf("serve.jobs_rejected = %d, want 1", got)
+	}
+	if got := srv.Metrics().Counter(obs.MetricServeJobsSubmitted); got != 0 {
+		t.Errorf("serve.jobs_submitted = %d, want 0", got)
+	}
+	srv.mu.Lock()
+	jobs := len(srv.jobs)
+	srv.mu.Unlock()
+	if jobs != 0 {
+		t.Errorf("%d jobs created by a rejected submission", jobs)
+	}
+}

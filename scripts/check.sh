@@ -8,45 +8,47 @@
 #                  match the reviewed allowlist
 #                  (scripts/nopanic_exemptions.txt) — worker panics must
 #                  convert to coordinator errors, not earn new markers
-#   4. go test     full suite under the race detector
-#   5. milp race   the parallel branch & bound, twice, under -race
-#   6. warm start  the warm-start suite, under -race: simplex SolveFrom
+#   3. go test     full suite under the race detector
+#   4. milp race   the parallel branch & bound, twice, under -race
+#   5. warm start  the warm-start suite, under -race: simplex SolveFrom
 #                  must match a cold Solve, and the warm-started branch &
 #                  bound must certify the brute-force optimum at workers
 #                  1 and 4 and ignore the deprecated ReuseBasis field
-#   7. obs cover   internal/obs must hold >= 70% statement coverage —
+#   6. obs cover   internal/obs must hold >= 70% statement coverage —
 #                  the observability layer is what every other number in
 #                  a trace or metrics file is trusted against
-#   8. bench lock  every docs/benchmarks/BENCH_*.json must strict-parse
+#   7. bench lock  every docs/benchmarks/BENCH_*.json must strict-parse
 #                  against the etransform-bench/v1 schema (etbench
 #                  -validate) — the perf trajectory is part of the
 #                  reviewed surface, not a scratch directory
-#   9. output lock the golden-plan and metamorphic suites, explicitly:
+#   8. output lock the golden-plan and metamorphic suites, explicitly:
 #                  byte-stable plan JSON + certified-objective invariance
-#  10. fault smoke each injectable fault class forced against a small
-#                  dataset end to end: the planner must exit 0 (recovered)
-#                  or 3 (degraded-but-feasible), never crash; a corrupted
+#   9. fault smoke each injectable fault class forced against a small
+#                  dataset end to end, without and with -dr: the planner
+#                  must exit 0 (recovered) or 3 (degraded-but-feasible),
+#                  never crash, and every -dr plan must give each group a
+#                  secondary distinct from its primary; a corrupted
 #                  standalone solve must fail cleanly with exit 1
-#  11. robust smoke a fixed-seed Monte Carlo robustness batch, run twice
+#  10. robust smoke a fixed-seed Monte Carlo robustness batch, run twice
 #                  at different -workers values: the two
 #                  etransform-robust/v1 reports must be byte-identical
 #                  (the replay contract) and strict-parse via etbench
 #                  -validate
-#  12. cut validity the 16-seed subset of the cut-validity property
+#  11. cut validity the 16-seed subset of the cut-validity property
 #                  suite (no separated cut may eliminate an enumerated
 #                  integer-feasible point) plus a short fuzz pass over
 #                  both separators
-#  13. cut determinism smoke: one -cuts planner solve at -workers 1
+#  12. cut determinism smoke: one -cuts planner solve at -workers 1
 #                  and 4 must produce the identical plan cost block (cuts
 #                  run in the sequential root phase, so worker count must
 #                  not leak into the answer)
-#  14. etserve smoke: boot the planning daemon on a random port, submit
+#  13. etserve smoke: boot the planning daemon on a random port, submit
 #                  the smoke state over HTTP, poll to done, fetch the
 #                  plan and compare it to the etransform CLI's plan for
 #                  the same state — byte-equal after dropping the two
 #                  wall-clock fields — then resubmit the same state and
 #                  require a cache hit (serve.cache_hits counter)
-#  15. perfbench   vet and test the benchmark module, which imports
+#  14. perfbench   vet and test the benchmark module, which imports
 #                  program identifiers no other stage builds against,
 #                  then smoke-run both workloads for one second each: the
 #                  last line of each run must report correct with no
@@ -107,21 +109,32 @@ go build -o "$SMOKE_DIR/etransform" ./cmd/etransform
 go build -o "$SMOKE_DIR/lpsolve" ./cmd/lpsolve
 go run ./cmd/etdatagen -dataset enterprise1 -scale 0.05 -o "$SMOKE_DIR/asis.json"
 
-# Every fault class, forced persistently against the planner: the
-# resilient pipeline must deliver a plan — exit 0 (retry recovered) or
-# exit 3 (degraded-but-feasible via budget surrender or fallback stage).
-for spec in pivotxall corruptxall stallxall panicxall deadlinexall; do
-    rc=0
-    "$SMOKE_DIR/etransform" -state "$SMOKE_DIR/asis.json" -report=false \
-        -faults "$spec" -timelimit 60s > "$SMOKE_DIR/out.txt" 2>&1 || rc=$?
-    case $rc in
-    0|3) echo "    etransform -faults $spec: exit $rc (ok)" ;;
-    *)
-        echo "etransform -faults $spec: exit $rc, want 0 or 3" >&2
-        cat "$SMOKE_DIR/out.txt" >&2
-        exit 1
-        ;;
-    esac
+# Every fault class, forced persistently against the planner, without
+# and with DR: the resilient pipeline must deliver a plan — exit 0 (retry
+# recovered) or exit 3 (degraded-but-feasible via budget surrender or
+# fallback stage) — and a DR plan must give every group a distinct
+# secondary.
+for dr in "" -dr; do
+    for spec in pivotxall corruptxall stallxall panicxall deadlinexall; do
+        rc=0
+        rm -f "$SMOKE_DIR/fault_plan.json"
+        "$SMOKE_DIR/etransform" -state "$SMOKE_DIR/asis.json" -report=false $dr \
+            -faults "$spec" -timelimit 60s -plan "$SMOKE_DIR/fault_plan.json" \
+            > "$SMOKE_DIR/out.txt" 2>&1 || rc=$?
+        case $rc in
+        0|3) echo "    etransform${dr:+ $dr} -faults $spec: exit $rc (ok)" ;;
+        *)
+            echo "etransform${dr:+ $dr} -faults $spec: exit $rc, want 0 or 3" >&2
+            cat "$SMOKE_DIR/out.txt" >&2
+            exit 1
+            ;;
+        esac
+        if [ -n "$dr" ] && ! jq -e '(.assignments|length) as $n | [.assignments[] | select((.secondary_dc // "") != "" and .secondary_dc != .primary_dc)] | length == $n' \
+            "$SMOKE_DIR/fault_plan.json" > /dev/null; then
+            echo "etransform -dr -faults $spec: some assignment lacks a secondary distinct from its primary" >&2
+            exit 1
+        fi
+    done
 done
 
 # The standalone solver has no fallback chain: a persistently corrupted
