@@ -532,13 +532,27 @@ func (b *builder) addOmegaRows() {
 // non-flat curve: occupancy = Σ_k u_jk with per-segment unit costs, plus
 // fill-order binaries for non-convex (economies-of-scale) curves,
 // following Schoomer's step-function incorporation (§III-B).
+//
+// The segments cover [0, min(O_j, S)], where S is the estate's total
+// servers, not the whole capacity O_j. Occupancy at j is the primaries
+// at j plus the pool at j, and the pool backs only groups whose primary
+// is elsewhere: it is the max over primary sites of their demand routed
+// to j when pools are shared, and the sum when they are dedicated.
+// Either way each group counts at most once at j, so occupancy ≤ S at
+// every minimum-pool point. Any encoding of the curve relaxes to its
+// lower convex envelope over the domain, so shrinking the domain is
+// what keeps the LP from pricing space at a discount no plan reaches.
 func (b *builder) addSpaceSegments() {
+	total := 0
+	for i := range b.s.Groups {
+		total += b.s.Groups[i].Servers
+	}
 	for j := range b.s.Target.DCs {
 		if b.flatSpace[j] || len(b.occTerms[j]) == 0 {
 			continue
 		}
 		dc := &b.s.Target.DCs[j]
-		segs := dc.SpaceCost.SegmentsUpTo(float64(dc.CapacityServers))
+		segs := dc.SpaceCost.SegmentsUpTo(float64(min(dc.CapacityServers, total)))
 		if len(segs) == 0 {
 			continue
 		}

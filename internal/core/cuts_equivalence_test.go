@@ -39,7 +39,11 @@ func TestCutsEquivalenceScenarios(t *testing.T) {
 				p, err := New(s, Options{
 					Aggregate: true,
 					DR:        sc.dr,
+					// GapTol 1e-12 asks for proof: at the default
+					// tolerance a solve may stop with a nonzero, honestly
+					// reported gap.
 					Solver: milp.Options{
+						GapTol:    1e-12,
 						Workers:   workers,
 						MaxNodes:  50000,
 						TimeLimit: 2 * time.Minute,

@@ -1,21 +1,24 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"github.com/etransform/etransform/internal/datagen"
+	"github.com/etransform/etransform/internal/milp"
 	"github.com/etransform/etransform/internal/model"
 	"github.com/etransform/etransform/internal/tol"
 )
 
-// requireWarmStartsFeasible builds the DR model of s and requires every
-// warmStarts() candidate to satisfy it at the tolerance branch & bound
-// accepts incumbents with. No solve runs: an infeasible candidate is
-// silently dropped by the solver, so only a direct check sees it. It
-// returns the builder for further checks.
-func requireWarmStartsFeasible(t *testing.T, s *model.AsIsState, candidateK int) *builder {
+// requireWarmStartsFeasible builds the DR model of s, with shared or
+// dedicated pools, and requires every warmStarts() candidate to satisfy
+// it at the tolerance branch & bound accepts incumbents with. No solve
+// runs: an infeasible candidate is silently dropped by the solver, so
+// only a direct check sees it. It returns the builder for further
+// checks.
+func requireWarmStartsFeasible(t *testing.T, s *model.AsIsState, candidateK int, dedicated bool) *builder {
 	t.Helper()
-	p, err := New(s, Options{DR: true, Aggregate: true, CandidateK: candidateK})
+	p, err := New(s, Options{DR: true, DedicatedBackups: dedicated, Aggregate: true, CandidateK: candidateK})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +48,7 @@ func TestWarmStartProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := requireWarmStartsFeasible(t, s, 0)
+	b := requireWarmStartsFeasible(t, s, 0, false)
 	pts := b.heuristicPoints()
 	plan, err := b.planFromPoint(pts[0].placement, pts[0].secondary)
 	if err != nil {
@@ -74,5 +77,77 @@ func TestFederalDRWarmStartProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireWarmStartsFeasible(t, s, 8)
+	requireWarmStartsFeasible(t, s, 8, false)
+}
+
+// TestCappedSpaceCurvePoints checks that every point the planner encodes
+// stays inside the space-curve cap on ×0.1 Enterprise1 DR, where the
+// estate's servers are fewer than most DCs hold, so the segments end at
+// the estate total rather than at capacity. With shared and with
+// dedicated pools, the warm starts, the seed point of a SeedPlan
+// re-solve from the solved plan, and CertifyPlan of that plan must all
+// satisfy the capped model. A point the cap cut off would be dropped
+// without a trace, which the brute-force oracle cannot see.
+func TestCappedSpaceCurvePoints(t *testing.T) {
+	s, err := datagen.Enterprise1().Scaled(0.1).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for i := range s.Groups {
+		total += s.Groups[i].Servers
+	}
+	for _, dedicated := range []bool{false, true} {
+		b := requireWarmStartsFeasible(t, s, 0, dedicated)
+		capped := 0
+		for j, widths := range b.segWidths {
+			width := 0.0
+			for _, w := range widths {
+				width += w
+			}
+			if len(widths) > 0 && s.Target.DCs[j].CapacityServers > total {
+				if math.Abs(width-float64(total)) > tol.Accept {
+					t.Errorf("dedicated=%v: DC %d segments cover %v, want the estate total %d", dedicated, j, width, total)
+				}
+				capped++
+			}
+		}
+		if capped == 0 {
+			t.Fatalf("dedicated=%v: no tiered DC holds more than the estate's %d servers; the cap never binds", dedicated, total)
+		}
+
+		opts := Options{
+			DR: true, DedicatedBackups: dedicated, Aggregate: true,
+			Solver: milp.Options{Workers: 1, MaxNodes: 50},
+		}
+		plan := solvePlan(t, s, opts)
+		p, err := New(s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.CertifyPlan(plan); err != nil {
+			t.Errorf("dedicated=%v: CertifyPlan of the solved plan: %v", dedicated, err)
+		}
+		if err := p.SeedPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+		sb, err := p.build(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, ok := sb.seedPoint()
+		if !ok {
+			t.Fatalf("dedicated=%v: the solved plan does not encode as a seed point", dedicated)
+		}
+		if err := sb.m.CheckFeasible(x, tol.Accept); err != nil {
+			t.Errorf("dedicated=%v: seed point infeasible: %v", dedicated, err)
+		}
+		warm, err := p.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Cost.Total() > plan.Cost.Total()*(1+1e-9) {
+			t.Errorf("dedicated=%v: seeded re-solve costs %v, more than its seed's %v", dedicated, warm.Cost.Total(), plan.Cost.Total())
+		}
+	}
 }

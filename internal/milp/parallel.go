@@ -61,6 +61,10 @@ type coordinator struct {
 	iterations int     // guarded by mu
 	nodesBy    []int   // guarded by mu
 	peakQueue  int     // guarded by mu
+	// prunedBound is the smallest bound among nodes discarded within
+	// pruneEps of the incumbent. They leave the queue unexplored, so the
+	// reported gap must still count them.
+	prunedBound float64 // guarded by mu
 
 	done        bool      // guarded by mu
 	finalStatus lp.Status // zero when the queue drained naturally; guarded by mu
@@ -83,13 +87,14 @@ type contextLike interface {
 //etlint:ignore lockguard construction happens-before publication: no goroutine can hold a reference yet
 func newCoordinator(ctx contextLike, opts Options, model *lp.Model) *coordinator {
 	c := &coordinator{
-		opts:      opts,
-		ctx:       ctx,
-		model:     model,
-		start:     time.Now(),
-		lastBound: math.Inf(-1),
-		nodesBy:   make([]int, opts.Workers),
-		flight:    make([]float64, opts.Workers),
+		opts:        opts,
+		ctx:         ctx,
+		model:       model,
+		start:       time.Now(),
+		lastBound:   math.Inf(-1),
+		prunedBound: math.Inf(1),
+		nodesBy:     make([]int, opts.Workers),
+		flight:      make([]float64, opts.Workers),
 	}
 	for i := range c.flight {
 		c.flight[i] = math.Inf(1)
@@ -446,6 +451,7 @@ func (c *coordinator) claim(w *worker) (nd *node, nodeIdx int, ok bool) {
 		nd = heap.Pop(&c.queue).(*node)
 		c.queueBytes -= nodeBytes(nd)
 		if c.haveInc && nd.bound >= c.incumbentObj-c.pruneEps(c.incumbentObj) {
+			c.prunedBound = math.Min(c.prunedBound, nd.bound)
 			if c.inFlight == 0 {
 				// Best-first with nothing in flight: every remaining node
 				// is at least as bad, so the search is over.
@@ -541,6 +547,9 @@ func (c *coordinator) step(w *worker) bool {
 		switch {
 		case haveInc && sol.Objective >= incObj-c.pruneEps(incObj):
 			// Pruned against the incumbent snapshot.
+			c.mu.Lock()
+			c.prunedBound = math.Min(c.prunedBound, sol.Objective)
+			c.mu.Unlock()
 		case func() bool { v, _ := c.mostFractional(sol.X); return v < 0 }():
 			c.tryAccept(sol.X, sol.Objective, w.id+1)
 		default:
@@ -726,9 +735,11 @@ func (c *coordinator) assembleFinish(bound float64, status lp.Status, workers []
 	sol.Objective = c.incumbentObj
 	// tol.RelGap guards the near-zero-incumbent case (max(1,·)
 	// denominator) and maps a bound of −Inf — no bound ever proven —
-	// to an honest +Inf instead of NaN.
+	// to an honest +Inf instead of NaN. The status is decided on the
+	// open nodes' bound; the reported gap also counts the nodes pruned
+	// within tolerance, so "gap 0" means the tree closed.
 	gap := tol.RelGap(c.incumbentObj, bound)
-	sol.Gap = gap
+	sol.Gap = tol.RelGap(c.incumbentObj, math.Min(bound, c.prunedBound))
 	if status == lp.StatusOptimal || gap <= c.opts.GapTol {
 		sol.Status = lp.StatusOptimal
 	} else {
@@ -756,7 +767,7 @@ func (c *coordinator) canceledSolution(workers []*worker) *lp.Solution {
 	}
 	sol.X = c.incumbent
 	sol.Objective = c.incumbentObj
-	sol.Gap = tol.RelGap(c.incumbentObj, c.finalBound)
+	sol.Gap = tol.RelGap(c.incumbentObj, math.Min(c.finalBound, c.prunedBound))
 	return sol
 }
 

@@ -50,9 +50,12 @@
 #                  require a cache hit (serve.cache_hits counter)
 #  14. perfbench   vet and test the benchmark module, which imports
 #                  program identifiers no other stage builds against,
-#                  then smoke-run both workloads for one second each: the
-#                  last line of each run must report correct with no
-#                  failed ops
+#                  then smoke-run each workload for one second three
+#                  times: untraced twice (the second run must repeat the
+#                  first's exact counts) and traced once (its counts must
+#                  equal the untraced pass's, and on plan-dr it runs the
+#                  serve probe); the last line of every run must report
+#                  correct with no failed ops
 #
 # Run from anywhere; it operates on the repo root. Exits non-zero on the
 # first failing stage.
@@ -266,19 +269,26 @@ kill "$ETSERVE_PID" 2>/dev/null || true
 wait "$ETSERVE_PID" 2>/dev/null || true
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
-echo "==> perfbench build + one-second smoke (plan-dr, serve-mix)"
+echo "==> perfbench build + one-second smoke (plan-dr, serve-mix: untraced twice, traced once)"
 (cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
 for w in plan-dr serve-mix; do
-    rc=0
-    bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 \
-        > "$SMOKE_DIR/perfbench-$w.txt" 2>&1 || rc=$?
-    if [ "$rc" -ne 0 ] || ! tail -n 1 "$SMOKE_DIR/perfbench-$w.txt" \
-        | jq -e '.correct and .failed == 0' > /dev/null; then
-        echo "perfbench $w smoke: exit $rc, or the last line is not correct with 0 failed:" >&2
-        cat "$SMOKE_DIR/perfbench-$w.txt" >&2
-        exit 1
-    fi
-    echo "    perfbench $w: correct, 0 failed"
+    for run in untraced-1 untraced-2 traced; do
+        trace=0
+        if [ "$run" = traced ]; then
+            trace=1
+        fi
+        out="$SMOKE_DIR/perfbench-$w-$run.txt"
+        rc=0
+        bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace "$trace" \
+            > "$out" 2>&1 || rc=$?
+        if [ "$rc" -ne 0 ] || ! tail -n 1 "$out" \
+            | jq -e '.correct and .failed == 0' > /dev/null; then
+            echo "perfbench $w smoke ($run): exit $rc, or the last line is not correct with 0 failed:" >&2
+            cat "$out" >&2
+            exit 1
+        fi
+    done
+    echo "    perfbench $w: correct, 0 failed (untraced twice, traced once)"
 done
 
 echo "==> all checks passed"
