@@ -159,73 +159,6 @@ func BenchmarkFig10_PlacementGrowth(b *testing.B) {
 
 // --- Ablations ------------------------------------------------------------
 
-// drState is a shared small DR instance for formulation ablations.
-func drState(b *testing.B) *model.AsIsState {
-	b.Helper()
-	cfg := datagen.Enterprise1().Scaled(0.1)
-	s, err := cfg.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
-func benchFormulation(b *testing.B, form core.Formulation) {
-	s := drState(b)
-	var plan *model.Plan
-	for i := 0; i < b.N; i++ {
-		p, err := core.New(s, core.Options{
-			DR: true, Formulation: form,
-			Solver: milp.Options{GapTol: 5e-3, MaxNodes: 200, TimeLimit: 15 * time.Second},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err = p.Solve()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(plan.Stats.Rows), "rows")
-	b.ReportMetric(float64(plan.Stats.Cols), "cols")
-	b.ReportMetric(plan.Cost.Total(), "plan_cost_$")
-}
-
-// DESIGN.md: pair formulation has M+N+N²+N rows; the paper's literal
-// J-linearization has M·N² linking rows. Same optimum, very different
-// scaling.
-func BenchmarkAblation_DRFormulation_Pair(b *testing.B)  { benchFormulation(b, core.FormulationPair) }
-func BenchmarkAblation_DRFormulation_Paper(b *testing.B) { benchFormulation(b, core.FormulationPaper) }
-
-// DESIGN.md: aggregating identical groups is an exact reformulation that
-// shrinks synthetic estates.
-func benchAggregation(b *testing.B, aggregate bool) {
-	cfg := datagen.Florida()
-	s, err := cfg.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var plan *model.Plan
-	for i := 0; i < b.N; i++ {
-		p, err := core.New(s, core.Options{
-			Aggregate: aggregate,
-			Solver:    milp.Options{GapTol: 2e-3, MaxNodes: 400, TimeLimit: 20 * time.Second},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err = p.Solve()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(plan.Stats.Cols), "cols")
-	b.ReportMetric(plan.Cost.Total(), "plan_cost_$")
-}
-
-func BenchmarkAblation_Aggregation_On(b *testing.B)  { benchAggregation(b, true) }
-func BenchmarkAblation_Aggregation_Off(b *testing.B) { benchAggregation(b, false) }
-
 // DESIGN.md: candidate pruning trades a little optimality for model size
 // on very large estates; the retry path guards feasibility.
 func benchCandidateK(b *testing.B, k int) {
@@ -236,8 +169,8 @@ func benchCandidateK(b *testing.B, k int) {
 	var plan *model.Plan
 	for i := 0; i < b.N; i++ {
 		p, err := core.New(s, core.Options{
-			Aggregate: true, CandidateK: k,
-			Solver: milp.Options{GapTol: 5e-3, MaxNodes: 200, TimeLimit: 20 * time.Second},
+			CandidateK: k,
+			Solver:     milp.Options{GapTol: 5e-3, MaxNodes: 200, TimeLimit: 20 * time.Second},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -254,50 +187,6 @@ func benchCandidateK(b *testing.B, k int) {
 func BenchmarkAblation_CandidateK_All(b *testing.B) { benchCandidateK(b, 0) }
 func BenchmarkAblation_CandidateK_8(b *testing.B)   { benchCandidateK(b, 8) }
 
-// DESIGN.md: the DR warm starts close most of the primal gap that the
-// weak LP pool bound leaves open.
-func benchWarmStarts(b *testing.B, disable bool) {
-	s, err := datagen.Enterprise1().Scaled(0.25).Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var plan *model.Plan
-	for i := 0; i < b.N; i++ {
-		opts := core.Options{
-			DR: true, Aggregate: true,
-			Solver: milp.Options{GapTol: 5e-3, MaxNodes: 100, TimeLimit: 10 * time.Second},
-		}
-		p, err := core.New(s, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if disable {
-			// The paper formulation takes no warm starts (and no
-			// aggregation), so it serves as the no-warm-start reference.
-			opts.Formulation = core.FormulationPaper
-			opts.Aggregate = false
-			p, err = core.New(s, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		plan, err = p.Solve()
-		if err != nil {
-			// Finding no incumbent at all within the budget IS the
-			// no-warm-start result; report it instead of failing.
-			b.Logf("no feasible plan within limits: %v", err)
-			b.ReportMetric(0, "plan_cost_$")
-			b.ReportMetric(100, "milp_gap_%")
-			return
-		}
-	}
-	b.ReportMetric(plan.Cost.Total(), "plan_cost_$")
-	b.ReportMetric(plan.Stats.Gap*100, "milp_gap_%")
-}
-
-func BenchmarkAblation_DRWarmStarts_On(b *testing.B)  { benchWarmStarts(b, false) }
-func BenchmarkAblation_DRWarmStarts_Off(b *testing.B) { benchWarmStarts(b, true) }
-
 // --- Solver micro-benchmarks ----------------------------------------------
 
 func BenchmarkSimplex_MediumAssignmentLP(b *testing.B) {
@@ -305,7 +194,7 @@ func BenchmarkSimplex_MediumAssignmentLP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := core.New(s, core.Options{Aggregate: true})
+	p, err := core.New(s, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -333,8 +222,7 @@ func BenchmarkMILP_Enterprise1NonDR(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		p, err := core.New(s, core.Options{
-			Aggregate: true,
-			Solver:    milp.Options{GapTol: 1e-3, TimeLimit: 30 * time.Second},
+			Solver: milp.Options{GapTol: 1e-3, TimeLimit: 30 * time.Second},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -355,7 +243,7 @@ func benchObsSimplex(b *testing.B, opts *simplex.Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := core.New(s, core.Options{Aggregate: true})
+	p, err := core.New(s, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -395,7 +283,7 @@ func BenchmarkLPFormat_WriteParse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := core.New(s, core.Options{Aggregate: true})
+	p, err := core.New(s, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -430,8 +318,7 @@ func benchVolumeDiscount(b *testing.B, flat bool) {
 	var plan *model.Plan
 	for i := 0; i < b.N; i++ {
 		p, err := core.New(s, core.Options{
-			Aggregate: true,
-			Solver:    milp.Options{GapTol: 1e-3, TimeLimit: 30 * time.Second},
+			Solver: milp.Options{GapTol: 1e-3, TimeLimit: 30 * time.Second},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -455,7 +342,7 @@ func benchPricing(b *testing.B, bland bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := core.New(s, core.Options{Aggregate: true})
+	p, err := core.New(s, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

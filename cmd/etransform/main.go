@@ -83,9 +83,7 @@ func run(args []string) (degraded bool, err error) {
 	dedicated := fs.Bool("dedicated", false, "with -dr: dedicated per-group backup servers (multi-failure planning) instead of the shared single-failure pool")
 	shadow := fs.Bool("shadow", false, "report capacity shadow prices (LP-relaxation duals per data center)")
 	omega := fs.Float64("omega", 0, "business-impact cap: max fraction of app groups per data center (0 disables)")
-	aggregate := fs.Bool("aggregate", true, "aggregate identical application groups (exact reformulation)")
 	candidates := fs.Int("candidates", 0, "restrict each group to its K cheapest candidate DCs (0 = all)")
-	formulation := fs.String("formulation", "pair", `DR formulation: "pair" (scalable) or "paper" (literal §IV-B)`)
 	gap := fs.Float64("gap", 1e-3, "MILP relative optimality gap")
 	nodes := fs.Int("nodes", 20000, "branch & bound node limit")
 	timeLimit := fs.Duration("timelimit", 5*time.Minute, "solve wall-clock limit")
@@ -134,23 +132,11 @@ func run(args []string) (degraded bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	var form core.Formulation
-	switch *formulation {
-	case "pair":
-		form = core.FormulationPair
-	case "paper":
-		form = core.FormulationPaper
-	default:
-		return false, fmt.Errorf("unknown formulation %q", *formulation)
-	}
-
 	coreOpts := core.Options{
 		DR:                  *dr,
 		DedicatedBackups:    *dedicated,
 		ComputeShadowPrices: *shadow,
 		Omega:               *omega,
-		Formulation:         form,
-		Aggregate:           *aggregate,
 		CandidateK:          *candidates,
 		Solver: milp.Options{
 			GapTol:      *gap,

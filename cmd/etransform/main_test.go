@@ -127,9 +127,6 @@ func TestRunErrors(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 	state := writeTestState(t)
-	if _, err := run([]string{"-state", state, "-formulation", "bogus"}); err == nil {
-		t.Error("bad formulation accepted")
-	}
 	if _, err := run([]string{"-state", state, "-pin", "nonsense"}); err == nil {
 		t.Error("malformed pin accepted")
 	}

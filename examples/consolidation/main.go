@@ -43,8 +43,7 @@ func main() {
 	}
 
 	planner, err := core.New(state, core.Options{
-		Aggregate: true,
-		Solver:    milp.Options{GapTol: 1e-3, TimeLimit: time.Minute},
+		Solver: milp.Options{GapTol: 1e-3, TimeLimit: time.Minute},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -34,10 +34,9 @@ func main() {
 		report.Money(asIsDR.OperationalCost()+asIsDR.BackupCapital), asIsDR.TotalBackupServers)
 
 	planner, err := core.New(state, core.Options{
-		DR:        true,
-		Omega:     0.6, // no DC may hold more than 60% of the app groups
-		Aggregate: true,
-		Solver:    milp.Options{GapTol: 5e-3, MaxNodes: 500, TimeLimit: 45 * time.Second},
+		DR:     true,
+		Omega:  0.6, // no DC may hold more than 60% of the app groups
+		Solver: milp.Options{GapTol: 5e-3, MaxNodes: 500, TimeLimit: 45 * time.Second},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -47,7 +47,6 @@ func main() {
 	}
 
 	planner, err := core.New(state, core.Options{
-		Aggregate:           true,
 		ComputeShadowPrices: true,
 		Solver:              milp.Options{GapTol: 2e-3, TimeLimit: time.Minute},
 	})

@@ -25,8 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	planner, err := core.New(state, core.Options{
-		Aggregate: true,
-		Solver:    milp.Options{GapTol: 1e-3, TimeLimit: 30 * time.Second},
+		Solver: milp.Options{GapTol: 1e-3, TimeLimit: 30 * time.Second},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -65,9 +64,8 @@ func main() {
 
 	// Scenario 3: risk officer caps any site at 40%% of the groups.
 	planner2, err := core.New(state, core.Options{
-		Omega:     0.4,
-		Aggregate: true,
-		Solver:    milp.Options{GapTol: 1e-3, TimeLimit: 30 * time.Second},
+		Omega:  0.4,
+		Solver: milp.Options{GapTol: 1e-3, TimeLimit: 30 * time.Second},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -44,9 +44,6 @@ type builder struct {
 	// varOf maps (type, primary, secondary) — secondary −1 when non-DR —
 	// to its placement column, for warm-start encoding.
 	varOf map[[3]int]lp.VarID
-	// secVars holds the paper formulation's Y_ij columns (empty for the
-	// pair formulation).
-	secVars []placeVar
 	// gVars[j] is the backup pool variable at DC j (DR only).
 	gVars []lp.VarID
 	// occTerms[j] accumulates the occupancy expression at DC j: S_t per
@@ -70,6 +67,24 @@ type builder struct {
 }
 
 func (p *Planner) build(candidateK int) (*builder, error) {
+	b := newBuilder(p, candidateK)
+	b.buildTypes()
+	if p.opts.DR {
+		b.addBackupPools()
+	}
+	if err := b.addPairPlacements(); err != nil {
+		return nil, err
+	}
+	b.addCapacityRows()
+	b.addOmegaRows()
+	b.addSharedRiskRows()
+	b.addSpaceSegments()
+	return b, nil
+}
+
+// newBuilder returns a builder with an empty model and per-DC maps,
+// before any group types, columns or rows exist.
+func newBuilder(p *Planner, candidateK int) *builder {
 	s := p.state
 	b := &builder{
 		p:          p,
@@ -84,55 +99,30 @@ func (p *Planner) build(candidateK int) (*builder, error) {
 		ordVars:    make([][]lp.VarID, len(s.Target.DCs)),
 		varOf:      make(map[[3]int]lp.VarID),
 	}
-	b.buildTypes()
-
 	for j := range s.Target.DCs {
 		b.flatSpace[j] = s.Target.DCs[j].SpaceCost.IsFlat()
 	}
-	if p.opts.DR {
-		b.addBackupPools()
-	}
-
-	var err error
-	if p.opts.DR && p.opts.Formulation == FormulationPaper {
-		err = b.addPaperPlacements()
-	} else {
-		err = b.addPairPlacements()
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	b.addCapacityRows()
-	b.addOmegaRows()
-	b.addSharedRiskRows()
-	b.addSpaceSegments()
-	return b, nil
+	return b
 }
 
+// planName names the model: "<state>-consolidation", or under DR
+// "<state>-dr-pair" after the pair-assignment encoding. LP exports and
+// traces carry the name.
 func planName(s *model.AsIsState, o *Options) string {
 	name := s.Name
 	if name == "" {
 		name = "etransform"
 	}
 	if o.DR {
-		return name + "-dr-" + o.Formulation.String()
+		return name + "-dr-pair"
 	}
 	return name + "-consolidation"
 }
 
-// buildTypes groups identical application groups (or makes singleton
-// types when aggregation is off).
+// buildTypes groups identical application groups into types, one
+// integer-count column per type and placement.
 func (b *builder) buildTypes() {
 	b.memberType = make([]int, len(b.s.Groups))
-	if !b.p.opts.Aggregate {
-		b.types = make([]groupType, len(b.s.Groups))
-		for i := range b.s.Groups {
-			b.types[i] = groupType{rep: &b.s.Groups[i], members: []int{i}}
-			b.memberType[i] = i
-		}
-		return
-	}
 	index := make(map[string]int)
 	for i := range b.s.Groups {
 		g := &b.s.Groups[i]
@@ -383,89 +373,6 @@ func (b *builder) addPlaceVar(ti, a, sec int, cost float64) lp.VarID {
 	return v
 }
 
-// addPaperPlacements creates the paper's §IV-B DR encoding: X_ij and Y_ij
-// binaries, continuous J linking variables, and the G_b ≥ Σ_c J_abc S_c
-// pool rows.
-func (b *builder) addPaperPlacements() error {
-	s := b.s
-	n := len(s.Target.DCs)
-	type xy struct{ x, y []lp.VarID } // per group: index by DC, -1 absent
-	cols := make([]xy, len(b.types))
-
-	for ti := range b.types {
-		g := b.types[ti].rep
-		prims := b.candidates(g, b.feasiblePrimary, b.primaryCost)
-		secs := b.candidates(g, b.feasibleSecondary, b.secondaryCost)
-		if len(prims) == 0 {
-			return fmt.Errorf("core: group %q has no feasible target data center", g.ID)
-		}
-		xs := make([]lp.VarID, n)
-		ys := make([]lp.VarID, n)
-		for j := range xs {
-			xs[j], ys[j] = -1, -1
-		}
-		var xasg, yasg []lp.Term
-		for _, a := range prims {
-			v := b.addPlaceVar(ti, a, -1, b.primaryCost(g, a))
-			xs[a] = v
-			xasg = append(xasg, lp.Term{Var: v, Coef: 1})
-		}
-		for _, j := range secs {
-			v := b.m.AddBinary(fmt.Sprintf("y_%d_%d", ti, j), b.secondaryCost(g, j))
-			ys[j] = v
-			yasg = append(yasg, lp.Term{Var: v, Coef: 1})
-			b.secVars = append(b.secVars, placeVar{v: v, t: ti, a: -1, b: j})
-		}
-		if len(yasg) == 0 {
-			return fmt.Errorf("core: group %q has no feasible secondary data center", g.ID)
-		}
-		b.m.AddRow(fmt.Sprintf("assign_%d", ti), xasg, lp.EQ, 1)
-		b.m.AddRow(fmt.Sprintf("assign_sec_%d", ti), yasg, lp.EQ, 1)
-		// X_ij + Y_ij ≤ 1: primary and secondary must differ (the paper's
-		// X_ij + Y_ij < 2 over binaries).
-		for j := 0; j < n; j++ {
-			if xs[j] >= 0 && ys[j] >= 0 {
-				b.m.AddRow(fmt.Sprintf("disjoint_%d_%d", ti, j),
-					[]lp.Term{{Var: xs[j], Coef: 1}, {Var: ys[j], Coef: 1}}, lp.LE, 1)
-			}
-		}
-		cols[ti] = xy{x: xs, y: ys}
-	}
-
-	// J_cab ≥ X_ca + Y_cb − 1, continuous in [0,1]: exact at binary X, Y
-	// because the pool rows only press J upward.
-	poolTerms := make([][]lp.Term, n*n)
-	for ti := range b.types {
-		g := b.types[ti].rep
-		for a := 0; a < n; a++ {
-			if cols[ti].x[a] < 0 {
-				continue
-			}
-			for sb := 0; sb < n; sb++ {
-				if sb == a || cols[ti].y[sb] < 0 {
-					continue
-				}
-				j := b.m.AddContinuous(fmt.Sprintf("j_%d_%d_%d", ti, a, sb), 0, 1, 0)
-				b.m.AddRow(fmt.Sprintf("link_%d_%d_%d", ti, a, sb),
-					[]lp.Term{{Var: cols[ti].x[a], Coef: 1}, {Var: cols[ti].y[sb], Coef: 1}, {Var: j, Coef: -1}},
-					lp.LE, 1)
-				poolTerms[a*n+sb] = append(poolTerms[a*n+sb], lp.Term{Var: j, Coef: float64(g.Servers)})
-			}
-		}
-	}
-	for a := 0; a < n; a++ {
-		for sb := 0; sb < n; sb++ {
-			terms := poolTerms[a*n+sb]
-			if len(terms) == 0 {
-				continue
-			}
-			terms = append(terms, lp.Term{Var: b.gVars[sb], Coef: -1})
-			b.m.AddRow(fmt.Sprintf("pool_%d_%d", a, sb), terms, lp.LE, 0)
-		}
-	}
-	return nil
-}
-
 // addCapacityRows enforces Σ_i S_i X_ij + G_j ≤ O_j at every target DC.
 func (b *builder) addCapacityRows() {
 	b.capRows = make([]lp.RowID, len(b.s.Target.DCs))
@@ -607,34 +514,20 @@ func (b *builder) decode(sol *lp.Solution) (*model.Plan, error) {
 		}
 	}
 
-	if !dr || b.p.opts.Formulation == FormulationPair {
-		// Distribute each type's placement counts over its members.
-		next := make([]int, len(b.types))
-		for _, pv := range b.placeVars {
-			cnt := int(math.Round(sol.Value(pv.v)))
-			for c := 0; c < cnt; c++ {
-				tp := &b.types[pv.t]
-				if next[pv.t] >= len(tp.members) {
-					return nil, fmt.Errorf("core: internal: type %d over-assigned", pv.t)
-				}
-				gi := tp.members[next[pv.t]]
-				next[pv.t]++
-				placement[gi] = pv.a
-				if dr {
-					secondary[gi] = pv.b
-				}
+	// Distribute each type's placement counts over its members.
+	next := make([]int, len(b.types))
+	for _, pv := range b.placeVars {
+		cnt := int(math.Round(sol.Value(pv.v)))
+		for c := 0; c < cnt; c++ {
+			tp := &b.types[pv.t]
+			if next[pv.t] >= len(tp.members) {
+				return nil, fmt.Errorf("core: internal: type %d over-assigned", pv.t)
 			}
-		}
-	} else {
-		// Paper formulation: singleton types; read X and Y.
-		for _, pv := range b.placeVars {
-			if int(math.Round(sol.Value(pv.v))) == 1 {
-				placement[b.types[pv.t].members[0]] = pv.a
-			}
-		}
-		for _, sv := range b.secVars {
-			if int(math.Round(sol.Value(sv.v))) == 1 {
-				secondary[b.types[sv.t].members[0]] = sv.b
+			gi := tp.members[next[pv.t]]
+			next[pv.t]++
+			placement[gi] = pv.a
+			if dr {
+				secondary[gi] = pv.b
 			}
 		}
 	}
@@ -683,7 +576,7 @@ func (b *builder) decode(sol *lp.Solution) (*model.Plan, error) {
 			Nodes:       sol.Nodes,
 			Gap:         jsonSafeGap(sol.Gap),
 			CandidatesK: b.candidateK,
-			Aggregated:  b.p.opts.Aggregate,
+			Aggregated:  true,
 
 			Workers:        sol.Workers,
 			PeakQueueDepth: sol.PeakQueueDepth,
@@ -692,7 +585,7 @@ func (b *builder) decode(sol *lp.Solution) (*model.Plan, error) {
 		},
 	}
 	if dr {
-		plan.Stats.Formulation = b.p.opts.Formulation.String()
+		plan.Stats.Formulation = "pair"
 		plan.BackupServers = make(map[string]int)
 		for j, n := range backups {
 			if n > 0 {

@@ -19,20 +19,12 @@ import (
 // this planner's state and options.
 //
 // The model is built without candidate pruning so no legal placement is
-// missing a column, and the paper DR formulation is certified through
-// its exact pair reformulation (the same route the fallback stages use,
-// since encodePoint speaks the pair encoding).
+// missing a column.
 func (p *Planner) CertifyPlan(plan *model.Plan) (string, error) {
 	if plan == nil {
 		return "", fmt.Errorf("core: nil plan")
 	}
-	cp := p
-	if p.opts.DR && p.opts.Formulation == FormulationPaper {
-		pair := &Planner{state: p.state, opts: p.opts}
-		pair.opts.Formulation = FormulationPair
-		cp = pair
-	}
-	b, err := cp.build(0)
+	b, err := p.build(0)
 	if err != nil {
 		return "", err
 	}

@@ -37,8 +37,7 @@ func TestCutsEquivalenceScenarios(t *testing.T) {
 		for _, enableCuts := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
 				p, err := New(s, Options{
-					Aggregate: true,
-					DR:        sc.dr,
+					DR: sc.dr,
 					// GapTol 1e-12 asks for proof: at the default
 					// tolerance a solve may stop with a nonzero, honestly
 					// reported gap.

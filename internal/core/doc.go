@@ -13,10 +13,11 @@
 // recovery (§IV-B: secondary sites, a shared single-failure backup pool
 // G_b = max_a Σ_c J_abc S_c, and the business-impact cap ω).
 //
-// Two DR formulations are provided: the paper's literal (X, Y, J, G)
-// linearization, and an equivalent pair-assignment formulation
-// (Z_{i,(a,b)} with M + N + N² + N rows) that scales far better; a
-// property test proves they agree. Identical application groups can be
+// DR is planned with a pair-assignment formulation (Z_{i,(a,b)} with
+// M + N + N² + N rows) that scales far better than the paper's literal
+// (X, Y, J, G) linearization with its M·N² linking rows. The paper's
+// encoding is kept only as a test reference (paper_test.go) that must
+// reach the same optimum. Identical application groups are always
 // aggregated into integer-count variables — an exact reformulation that
 // collapses the paper's largest (Federal) dataset to a tractable size.
 //

@@ -37,13 +37,6 @@ func TestDedicatedBackupsSumDemand(t *testing.T) {
 	}
 }
 
-func TestDedicatedBackupsRejectedForPaperFormulation(t *testing.T) {
-	s := twoDCState(t, 0)
-	if _, err := New(s, Options{DR: true, DedicatedBackups: true, Formulation: FormulationPaper}); err == nil {
-		t.Error("paper formulation with dedicated backups accepted")
-	}
-}
-
 func TestShadowPrices(t *testing.T) {
 	s := twoDCState(t, 0)
 	// Tighten the cheap DC so its capacity binds: one more slot there is

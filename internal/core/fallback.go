@@ -180,22 +180,10 @@ func (p *Planner) solvePipeline(ctx context.Context, candidateK int) (*model.Pla
 		return plan, nil
 	}
 
-	// The fallback stages need a model whose points encodePoint supports;
-	// for the paper formulation that is the (exact) pair reformulation.
-	fb := b
-	if p.opts.DR && p.opts.Formulation == FormulationPaper {
-		pair := &Planner{state: p.state, opts: p.opts}
-		pair.opts.Formulation = FormulationPair
-		fb, err = pair.build(candidateK)
-		if err != nil {
-			return nil, fmt.Errorf("core: all solve stages failed (pair reformulation for fallback: %v); first failure: %w", err, firstErr)
-		}
-	}
-
 	// Stage 2: LP-relaxation rounding with greedy repair.
 	t0 := time.Now()
 	end := span(lp.StageRounding, 1, t0)
-	plan, err := fb.lpRoundingPlan(ctx, p.stageDeadline())
+	plan, err := b.lpRoundingPlan(ctx, p.stageDeadline())
 	if err == nil {
 		end("ok", "")
 		report.Attempts = append(report.Attempts, lp.StageAttempt{
@@ -213,7 +201,7 @@ func (p *Planner) solvePipeline(ctx context.Context, candidateK int) (*model.Pla
 	// Stage 3: greedy baseline.
 	t0 = time.Now()
 	end = span(lp.StageGreedy, 1, t0)
-	plan, err = fb.greedyPlan()
+	plan, err = b.greedyPlan()
 	if err == nil {
 		end("ok", "")
 		report.Attempts = append(report.Attempts, lp.StageAttempt{

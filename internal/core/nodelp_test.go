@@ -22,7 +22,7 @@ func TestNodeLPWarmStartsEnterprise1(t *testing.T) {
 		t.Fatal(err)
 	}
 	met := obs.NewMetrics()
-	p, err := New(s, Options{Aggregate: true, Solver: milp.Options{
+	p, err := New(s, Options{Solver: milp.Options{
 		Workers: 1, Metrics: met,
 		MaxNodes: 50000, TimeLimit: 2 * time.Minute,
 	}})

@@ -107,9 +107,10 @@ func oracleOptimum(t *testing.T, s *model.AsIsState, dr, dedicated bool) (best f
 // curves, DR off and on, shared and dedicated pools, with and without a
 // pinned group, the planner's optimum at GapTol 1e-12 must equal the
 // cheapest assignment found by enumeration. The shared-pool DR cases
-// also solve the paper's §IV-B encoding. At least one case's optimum
-// must put more than S/2 servers at one DC, so that a space-curve domain
-// cut below S cannot pass unseen.
+// also check the paper's §IV-B encoding (paperOptimum) against the
+// enumeration. At least one case's optimum must put more than S/2
+// servers at one DC, so that a space-curve domain cut below S cannot
+// pass unseen.
 func TestPlannerMatchesBruteForce(t *testing.T) {
 	modes := []struct {
 		name          string
@@ -133,29 +134,27 @@ func TestPlannerMatchesBruteForce(t *testing.T) {
 				if 2*peak > total {
 					wide++
 				}
-				forms := []Formulation{FormulationPair}
-				if mode.dr && !mode.dedicated {
-					forms = append(forms, FormulationPaper)
+				name := fmt.Sprintf("%s seed=%d pin=%v", mode.name, seed, pin)
+				p, err := New(s, Options{
+					DR: mode.dr, DedicatedBackups: mode.dedicated,
+					Solver: milp.Options{GapTol: 1e-12, Workers: 1},
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				for _, form := range forms {
-					name := fmt.Sprintf("%s/%v seed=%d pin=%v", mode.name, form, seed, pin)
-					p, err := New(s, Options{
-						DR: mode.dr, DedicatedBackups: mode.dedicated,
-						Formulation: form, Aggregate: form == FormulationPair,
-						Solver: milp.Options{GapTol: 1e-12, Workers: 1},
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					plan, err := p.Solve()
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if plan.Stats.Degradation != nil {
-						t.Fatalf("%s: degraded plan: %s", name, plan.Stats.Degradation.Reason)
-					}
-					if got := plan.Cost.Total(); math.Abs(got-want) > 1e-9*math.Max(1, want) {
-						t.Errorf("%s: planner optimum %.6f, brute force %.6f (S=%d)", name, got, want, total)
+				plan, err := p.Solve()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if plan.Stats.Degradation != nil {
+					t.Fatalf("%s: degraded plan: %s", name, plan.Stats.Degradation.Reason)
+				}
+				if got := plan.Cost.Total(); math.Abs(got-want) > 1e-9*math.Max(1, want) {
+					t.Errorf("%s: planner optimum %.6f, brute force %.6f (S=%d)", name, got, want, total)
+				}
+				if mode.dr && !mode.dedicated {
+					if got := paperOptimum(t, s); math.Abs(got-want) > 1e-9*math.Max(1, want) {
+						t.Errorf("%s: paper encoding optimum %.6f, brute force %.6f (S=%d)", name, got, want, total)
 					}
 				}
 			}

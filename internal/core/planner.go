@@ -4,37 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"github.com/etransform/etransform/internal/lp"
 	"github.com/etransform/etransform/internal/milp"
 	"github.com/etransform/etransform/internal/model"
 )
-
-// Formulation selects how disaster recovery is linearized.
-type Formulation int
-
-// DR formulations.
-const (
-	// FormulationPair assigns each group one (primary, secondary) pair
-	// variable: M·N·(N−1) columns but only M + N + N² + N rows.
-	FormulationPair Formulation = iota + 1
-	// FormulationPaper is the paper's §IV-B encoding with X, Y binaries
-	// and continuous J_abc linking variables: M·N² linking rows.
-	FormulationPaper
-)
-
-// String implements fmt.Stringer.
-func (f Formulation) String() string {
-	switch f {
-	case FormulationPair:
-		return "pair"
-	case FormulationPaper:
-		return "paper"
-	default:
-		return fmt.Sprintf("Formulation(%d)", int(f))
-	}
-}
 
 // Options configure the planner.
 type Options struct {
@@ -45,8 +21,6 @@ type Options struct {
 	// all application groups any single data center may host. Values ≤ 0
 	// or ≥ 1 disable the cap.
 	Omega float64
-	// Formulation selects the DR linearization; default FormulationPair.
-	Formulation Formulation
 	// DedicatedBackups sizes DR pools for multiple concurrent failures:
 	// every group gets its own backup servers (G_b = sum of demand routed
 	// to b) instead of the shared single-failure pool (§IV-A).
@@ -57,9 +31,9 @@ type Options struct {
 	// it, and an infeasible pruned model is automatically retried
 	// unpruned.
 	CandidateK int
-	// Aggregate merges identical application groups into integer-count
-	// variables — an exact reformulation that shrinks synthetic datasets
-	// with repeated group templates (e.g. the Federal case study).
+	// Deprecated: ignored. Identical application groups are always
+	// merged into integer-count variables, an exact reformulation; the
+	// field no longer selects anything and will be removed.
 	Aggregate bool
 	// ComputeShadowPrices re-solves the LP with the plan's integer
 	// decisions fixed and records each capacity row's dual value in
@@ -68,13 +42,6 @@ type Options struct {
 	ComputeShadowPrices bool
 	// Solver passes through branch & bound options.
 	Solver milp.Options
-}
-
-func (o Options) withDefaults() Options {
-	if o.Formulation == 0 {
-		o.Formulation = FormulationPair
-	}
-	return o
 }
 
 // Planner plans the transformation of one as-is state.
@@ -93,20 +60,13 @@ func New(state *model.AsIsState, opts Options) (*Planner, error) {
 	if err := state.Validate(); err != nil {
 		return nil, err
 	}
-	o := opts.withDefaults()
-	if o.Formulation != FormulationPair && o.Formulation != FormulationPaper {
-		return nil, fmt.Errorf("core: unknown formulation %d", int(o.Formulation))
+	if math.IsNaN(opts.Omega) {
+		return nil, fmt.Errorf("core: omega (ω) is NaN; want a fraction in (0, 1), or a value ≤ 0 or ≥ 1 to disable the cap")
 	}
-	if o.Formulation == FormulationPaper && o.Aggregate {
-		return nil, fmt.Errorf("core: the paper formulation does not support aggregation; use FormulationPair")
-	}
-	if o.Formulation == FormulationPaper && o.DedicatedBackups {
-		return nil, fmt.Errorf("core: the paper formulation implements only shared single-failure pools; use FormulationPair for dedicated backups")
-	}
-	if o.DR && len(state.Target.DCs) < 2 {
+	if opts.DR && len(state.Target.DCs) < 2 {
 		return nil, fmt.Errorf("core: DR planning needs at least 2 target data centers, have %d", len(state.Target.DCs))
 	}
-	return &Planner{state: state, opts: o}, nil
+	return &Planner{state: state, opts: opts}, nil
 }
 
 // Pin forces the group's primary placement (the admin iterative-

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/etransform/etransform/internal/geo"
@@ -363,8 +364,8 @@ func TestWriteLPAndExternalSolveAgree(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	s := twoDCState(t, 0)
-	if _, err := New(s, Options{DR: true, Formulation: FormulationPaper, Aggregate: true}); err == nil {
-		t.Error("paper formulation + aggregation accepted")
+	if _, err := New(s, Options{Omega: math.NaN()}); err == nil || !strings.Contains(err.Error(), "omega") {
+		t.Errorf("NaN omega: err = %v, want an error naming omega", err)
 	}
 	s.Target.DCs = s.Target.DCs[:1]
 	s.Target.LatencyMs = [][]float64{{25}, {5}}
@@ -433,31 +434,11 @@ func randomState(rng *rand.Rand, groups, dcs, users int, dr bool) *model.AsIsSta
 	return s
 }
 
-// TestPairVsPaperFormulationEquivalent proves on random instances that
-// the scalable pair formulation and the paper's literal J-linearization
-// find plans of equal cost.
-func TestPairVsPaperFormulationEquivalent(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	trials := 25
-	if testing.Short() {
-		trials = 6
-	}
-	for trial := 0; trial < trials; trial++ {
-		s := randomState(rng, 3+rng.Intn(3), 3, 2, true)
-		if err := s.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		pairPlan := solvePlan(t, s, Options{DR: true, Formulation: FormulationPair})
-		paperPlan := solvePlan(t, s, Options{DR: true, Formulation: FormulationPaper})
-		a, b := pairPlan.Cost.Total(), paperPlan.Cost.Total()
-		if math.Abs(a-b) > 1e-4*math.Max(1, math.Max(a, b)) {
-			t.Fatalf("trial %d: pair %v vs paper %v", trial, a, b)
-		}
-	}
-}
-
-// TestAggregationExact proves that aggregating identical groups is an
-// exact reformulation: equal optimal cost with and without it.
+// TestAggregationExact checks that merging identical groups into
+// integer-count columns is exact and shrinks the model: on estates of
+// duplicated groups, DR off and on, the planner's optimum at GapTol
+// 1e-12 equals the brute-force optimum, and the model has fewer columns
+// than one per group and placement.
 func TestAggregationExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	trials := 12
@@ -466,9 +447,8 @@ func TestAggregationExact(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		base := randomState(rng, 3, 3, 2, false)
-		// Duplicate each group to create aggregation fodder. Symmetric
-		// duplicates are the worst case for plain branch & bound (that is
-		// the point of aggregation), so keep the copy count small here.
+		// Duplicate each group to create aggregation fodder; two copies
+		// keep the brute-force enumeration small.
 		var groups []model.AppGroup
 		for i := range base.Groups {
 			copies := 2
@@ -488,15 +468,21 @@ func TestAggregationExact(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		dr := rng.Intn(2) == 0
-		plain := solvePlan(t, base, Options{DR: dr})
-		agg := solvePlan(t, base, Options{DR: dr, Aggregate: true})
-		a, b := plain.Cost.Total(), agg.Cost.Total()
-		if math.Abs(a-b) > 1e-4*math.Max(1, math.Max(a, b)) {
-			t.Fatalf("trial %d (dr=%v): plain %v vs aggregated %v", trial, dr, a, b)
+		want, _ := oracleOptimum(t, base, dr, false)
+		plan := solvePlan(t, base, Options{DR: dr, Solver: milp.Options{GapTol: 1e-12, Workers: 1}})
+		if got := plan.Cost.Total(); math.Abs(got-want) > 1e-9*math.Max(1, want) {
+			t.Fatalf("trial %d (dr=%v): planner optimum %.6f, brute force %.6f", trial, dr, got, want)
 		}
-		if !agg.Stats.Aggregated || agg.Stats.Cols >= plain.Stats.Cols {
-			t.Errorf("trial %d: aggregation did not shrink the model (%d vs %d cols)",
-				trial, agg.Stats.Cols, plain.Stats.Cols)
+		// One column per group and placement, (primary) or (primary,
+		// secondary), is what the model would have without aggregation.
+		n := len(base.Target.DCs)
+		perGroup := n
+		if dr {
+			perGroup = n * (n - 1)
+		}
+		if !plan.Stats.Aggregated || plan.Stats.Cols >= len(base.Groups)*perGroup {
+			t.Errorf("trial %d (dr=%v): %d cols, want fewer than %d groups × %d placements",
+				trial, dr, plan.Stats.Cols, len(base.Groups), perGroup)
 		}
 	}
 }
@@ -555,8 +541,6 @@ func TestSelfCheckAcrossOptionMatrix(t *testing.T) {
 			{},
 			{DR: true},
 			{DR: true, Omega: 0.75},
-			{DR: true, Formulation: FormulationPaper},
-			{Aggregate: true},
 		} {
 			plan := solvePlan(t, s, opt)
 			if plan.Cost.Total() <= 0 {

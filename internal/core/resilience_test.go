@@ -214,13 +214,14 @@ func TestDegradedBudgetSurrendersIncumbent(t *testing.T) {
 	}
 }
 
-// TestFallbackPaperFormulationUsesPairModel: when the paper formulation
-// fails, the fallback stages run on the exact pair reformulation and
-// must still produce a DR plan with secondaries and pools.
-func TestFallbackPaperFormulationUsesPairModel(t *testing.T) {
+// TestFallbackDRToRounding: a fault that defeats both exact attempts on
+// a DR model sends the solve to the LP-rounding stage, whose certified
+// plan must give every group a distinct secondary and size the backup
+// pools.
+func TestFallbackDRToRounding(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := randomState(rng, 8, 3, 2, true)
-	opts := Options{DR: true, Formulation: FormulationPaper}
+	opts := Options{DR: true}
 	opts.Solver.Inject = faultinject.New(1, faultinject.Fault{Kind: faultinject.KindPivot, Count: -1})
 	plan := solvePlan(t, s, opts)
 	d := plan.Stats.Degradation
@@ -228,7 +229,13 @@ func TestFallbackPaperFormulationUsesPairModel(t *testing.T) {
 		t.Fatalf("degradation = %+v, want lp-rounding fallback", d)
 	}
 	if plan.Stats.Formulation != "pair" {
-		t.Errorf("fallback formulation = %q, want the pair reformulation", plan.Stats.Formulation)
+		t.Errorf("fallback formulation = %q, want pair", plan.Stats.Formulation)
+	}
+	if plan.Stats.Certificate == "" {
+		t.Error("fallback plan was not certified")
+	}
+	if _, err := model.EvaluatePlan(s, plan); err != nil {
+		t.Errorf("fallback plan fails evaluation: %v", err)
 	}
 	for _, a := range plan.Assignments {
 		if a.SecondaryDC == "" || a.SecondaryDC == a.PrimaryDC {

@@ -18,9 +18,9 @@ func TestSeedPlanWarmResolveMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := solvePlan(t, s, Options{Aggregate: true})
+	cold := solvePlan(t, s, Options{})
 
-	p, err := New(s, Options{Aggregate: true})
+	p, err := New(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,31 +42,28 @@ func riskState(t *testing.T) *model.AsIsState {
 }
 
 func TestSharedRiskSpreadsGroups(t *testing.T) {
-	for _, aggregate := range []bool{false, true} {
-		s := riskState(t)
-		plan := solvePlan(t, s, Options{Aggregate: aggregate})
-		seen := map[string]string{}
-		for _, a := range plan.Assignments {
-			g := findGroupByID(s, a.GroupID)
-			if g.SharedRiskGroup == "" {
-				// The unconstrained group takes the cheapest site.
-				if a.PrimaryDC != "cheap" {
-					t.Errorf("aggregate=%v: free group at %q, want cheap", aggregate, a.PrimaryDC)
-				}
-				continue
+	s := riskState(t)
+	plan := solvePlan(t, s, Options{})
+	seen := map[string]string{}
+	for _, a := range plan.Assignments {
+		g := findGroupByID(s, a.GroupID)
+		if g.SharedRiskGroup == "" {
+			// The unconstrained group takes the cheapest site.
+			if a.PrimaryDC != "cheap" {
+				t.Errorf("free group at %q, want cheap", a.PrimaryDC)
 			}
-			if prev, dup := seen[a.PrimaryDC]; dup {
-				t.Errorf("aggregate=%v: risk domain co-located at %q (%s and %s)",
-					aggregate, a.PrimaryDC, prev, a.GroupID)
-			}
-			seen[a.PrimaryDC] = a.GroupID
+			continue
 		}
-		if len(seen) != 3 {
-			t.Errorf("aggregate=%v: payments groups spread over %d DCs, want 3", aggregate, len(seen))
+		if prev, dup := seen[a.PrimaryDC]; dup {
+			t.Errorf("risk domain co-located at %q (%s and %s)", a.PrimaryDC, prev, a.GroupID)
 		}
-		if plan.Cost.SharedRiskViolations != 0 {
-			t.Errorf("aggregate=%v: plan reports %d risk violations", aggregate, plan.Cost.SharedRiskViolations)
-		}
+		seen[a.PrimaryDC] = a.GroupID
+	}
+	if len(seen) != 3 {
+		t.Errorf("payments groups spread over %d DCs, want 3", len(seen))
+	}
+	if plan.Cost.SharedRiskViolations != 0 {
+		t.Errorf("plan reports %d risk violations", plan.Cost.SharedRiskViolations)
 	}
 }
 

@@ -73,12 +73,8 @@ func (b *builder) heuristicPoints() []heuristicPoint {
 }
 
 // warmStarts encodes the heuristic points as candidate incumbents for
-// the exact search. The paper DR formulation cannot encode concrete
-// points, so it gets none.
+// the exact search.
 func (b *builder) warmStarts() [][]float64 {
-	if b.p.opts.DR && b.p.opts.Formulation == FormulationPaper {
-		return nil
-	}
 	var out [][]float64
 	for _, pt := range b.heuristicPoints() {
 		if x, ok := b.encodePoint(pt.placement, pt.secondary); ok {
@@ -89,15 +85,12 @@ func (b *builder) warmStarts() [][]float64 {
 }
 
 // seedPoint encodes the planner's registered seed plan (SeedPlan) as a
-// full variable point for this build, or ok=false when no seed is set,
-// the formulation cannot encode concrete points (paper DR), or the seed
-// names a column this model pruned away. A seed that fails to encode is
-// silently unused — it is an accelerator, never a requirement.
+// full variable point for this build, or ok=false when no seed is set
+// or the seed names a column this model pruned away. A seed that fails
+// to encode is silently unused — it is an accelerator, never a
+// requirement.
 func (b *builder) seedPoint() ([]float64, bool) {
 	if b.p.seedPlacement == nil {
-		return nil, false
-	}
-	if b.p.opts.DR && b.p.opts.Formulation == FormulationPaper {
 		return nil, false
 	}
 	return b.encodePoint(b.p.seedPlacement, b.p.seedSecondary)
@@ -315,8 +308,8 @@ func (b *builder) repairPools(placement, secondary []int) bool {
 }
 
 // encodePoint converts a concrete (placement, secondary) into a full
-// variable vector for the pair-formulation model: placement counts, pool
-// sizes, and space-segment fills. Returns ok=false when a needed column
+// variable vector for the model: placement counts, pool sizes, and
+// space-segment fills. Returns ok=false when a needed column
 // was pruned out of the model.
 func (b *builder) encodePoint(placement, secondary []int) ([]float64, bool) {
 	s := b.s

@@ -18,7 +18,7 @@ import (
 // checks.
 func requireWarmStartsFeasible(t *testing.T, s *model.AsIsState, candidateK int, dedicated bool) *builder {
 	t.Helper()
-	p, err := New(s, Options{DR: true, DedicatedBackups: dedicated, Aggregate: true, CandidateK: candidateK})
+	p, err := New(s, Options{DR: true, DedicatedBackups: dedicated, CandidateK: candidateK})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestCappedSpaceCurvePoints(t *testing.T) {
 		}
 
 		opts := Options{
-			DR: true, DedicatedBackups: dedicated, Aggregate: true,
+			DR: true, DedicatedBackups: dedicated,
 			Solver: milp.Options{Workers: 1, MaxNodes: 50},
 		}
 		plan := solvePlan(t, s, opts)

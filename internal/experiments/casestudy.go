@@ -216,7 +216,6 @@ func CaseStudy(cfg datagen.CaseStudyConfig, sc Scale, dr bool) (*CaseStudyResult
 
 	planner, err := core.New(s, core.Options{
 		DR:         dr,
-		Aggregate:  true,
 		CandidateK: sc.candidateK(len(s.Target.DCs)),
 		Solver:     sc.solver(),
 	})

@@ -121,7 +121,7 @@ func Figure10(ctx context.Context, sc Scale) (*Figure10Result, error) {
 		if err != nil {
 			return err
 		}
-		planner, err := core.New(s, core.Options{Aggregate: true, Solver: sc.solver()})
+		planner, err := core.New(s, core.Options{Solver: sc.solver()})
 		if err != nil {
 			return err
 		}

@@ -65,7 +65,7 @@ func Figure7(ctx context.Context, sc Scale) (*Figure7Result, error) {
 		if err != nil {
 			return err
 		}
-		planner, err := core.New(s, core.Options{Aggregate: true, Solver: sc.solver()})
+		planner, err := core.New(s, core.Options{Solver: sc.solver()})
 		if err != nil {
 			return err
 		}
@@ -143,7 +143,7 @@ func Figure8(ctx context.Context, sc Scale) (*Figure8Result, error) {
 		if solver.MaxNodes > 1500 {
 			solver.MaxNodes = 1500
 		}
-		planner, err := core.New(s, core.Options{DR: true, Aggregate: true, Solver: solver})
+		planner, err := core.New(s, core.Options{DR: true, Solver: solver})
 		if err != nil {
 			return err
 		}

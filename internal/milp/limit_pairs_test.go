@@ -58,21 +58,21 @@ func TestLimitPairSimplexWallClock(t *testing.T) {
 
 func TestLimitPairMILPNodes(t *testing.T) {
 	sol := solveOrFatal(t, limitKnapsack(), &Options{
-		MaxNodes: 1, GapTol: 1e-12, DisableDiving: true, Workers: 1,
+		MaxNodes: 1, GapTol: 1e-12, disableDiving: true, Workers: 1,
 	})
 	assertPair(t, sol, lp.StatusNodeLimit, lp.LimitNodes)
 }
 
 func TestLimitPairMILPMemory(t *testing.T) {
 	sol := solveOrFatal(t, limitKnapsack(), &Options{
-		MemoryBytes: 1, GapTol: 1e-12, DisableDiving: true, Workers: 1,
+		MemoryBytes: 1, GapTol: 1e-12, disableDiving: true, Workers: 1,
 	})
 	assertPair(t, sol, lp.StatusNodeLimit, lp.LimitMemory)
 }
 
 func TestLimitPairMILPWallClock(t *testing.T) {
 	sol := solveOrFatal(t, limitKnapsack(), &Options{
-		TimeLimit: time.Nanosecond, GapTol: 1e-12, DisableDiving: true, Workers: 1,
+		TimeLimit: time.Nanosecond, GapTol: 1e-12, disableDiving: true, Workers: 1,
 	})
 	assertPair(t, sol, lp.StatusNodeLimit, lp.LimitWallClock)
 }
@@ -81,7 +81,7 @@ func TestLimitPairMILPWallClock(t *testing.T) {
 // coordinator passes the simplex pair through unchanged.
 func TestLimitPairMILPIterLimitPassthrough(t *testing.T) {
 	sol, err := Solve(limitKnapsack(), &Options{
-		GapTol: 1e-12, DisableDiving: true, Workers: 1,
+		GapTol: 1e-12, disableDiving: true, Workers: 1,
 		Inject: faultinject.New(1, faultinject.Fault{Kind: faultinject.KindStall}),
 	})
 	if err != nil {
@@ -100,7 +100,7 @@ func TestLimitPairMILPIterLimitPassthrough(t *testing.T) {
 func TestLimitPairMILPIterations(t *testing.T) {
 	m := limitKnapsack()
 	sink := &obs.MemorySink{}
-	base := Options{GapTol: 1e-12, DisableDiving: true, Workers: 1}
+	base := Options{GapTol: 1e-12, disableDiving: true, Workers: 1}
 	probe := base
 	probe.Trace = obs.NewDeterministic(sink)
 	solveOrFatal(t, m, &probe)

@@ -55,8 +55,6 @@ type Options struct {
 	// to the per-worker simplex engines for their own sites. Production
 	// callers leave it nil.
 	Inject *faultinject.Injector
-	// DisableDiving turns off the diving primal heuristic.
-	DisableDiving bool
 	// WarmStarts are candidate feasible points (len = model variables)
 	// supplied by the caller; each feasible one seeds the incumbent
 	// before search begins. Infeasible candidates are ignored.
@@ -66,8 +64,6 @@ type Options struct {
 	// falls back to the cold two-phase solve when the basis is stale);
 	// the field no longer selects anything and will be removed.
 	ReuseBasis bool
-	// DisablePresolve turns off the bound-tightening presolve pass.
-	DisablePresolve bool
 	// Trace, when non-nil, receives structured solve events: solve
 	// start/end, incumbent installs, global-bound improvements, plus the
 	// per-LP phase events from the simplex layer (the tracer is handed
@@ -102,6 +98,12 @@ type Options struct {
 	Workers int
 	// Simplex carries options for the LP subproblems.
 	Simplex simplex.Options
+
+	// disableDiving turns off the diving primal heuristic, and
+	// disablePresolve the bound-tightening presolve pass. Only this
+	// package's tests set them, to isolate the tree search from both.
+	disableDiving   bool
+	disablePresolve bool
 }
 
 func (o *Options) withDefaults() Options {
@@ -198,7 +200,7 @@ func SolveContext(ctx context.Context, model *lp.Model, opts *Options) (*lp.Solu
 	// The working models are continuous; integrality is enforced by
 	// branching. Presolve tightens the shared model's bounds (used for
 	// incumbent verification) before the workers clone it.
-	if !o.DisablePresolve {
+	if !o.disablePresolve {
 		if _, infeasible := presolve(c.model, 10); infeasible {
 			return &lp.Solution{Status: lp.StatusInfeasible}, nil
 		}

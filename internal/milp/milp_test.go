@@ -280,7 +280,7 @@ func TestTimeLimit(t *testing.T) {
 		terms = append(terms, lp.Term{Var: v, Coef: float64(1 + rng.Intn(7))})
 	}
 	m.AddRow("w", terms, lp.LE, 31)
-	sol, err := Solve(m, &Options{TimeLimit: time.Nanosecond, GapTol: 1e-12, DisableDiving: true})
+	sol, err := Solve(m, &Options{TimeLimit: time.Nanosecond, GapTol: 1e-12, disableDiving: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -559,7 +559,7 @@ func (c *coordinator) step(w *worker) bool {
 			// Occasional re-dive deeper in the tree keeps the incumbent
 			// fresh. nodeIdx comes from the shared counter, so the pacing
 			// matches the sequential solver when Workers=1.
-			if !c.opts.DisableDiving && nodeIdx%64 == 0 {
+			if !c.opts.disableDiving && nodeIdx%64 == 0 {
 				err = w.dive(nd.changes, sol)
 			}
 			if err == nil {
@@ -661,7 +661,7 @@ func (c *coordinator) solve() (*lp.Solution, error) {
 	// The root's optimal basis seeds both first children; snapshot it
 	// before the dive re-solves other LPs on the same solver.
 	rootBasis := w0.sx.Basis()
-	if !c.opts.DisableDiving {
+	if !c.opts.disableDiving {
 		if err := w0.dive(nil, root); err != nil {
 			return nil, err
 		}

@@ -201,7 +201,7 @@ func TestCancellationMidSearch(t *testing.T) {
 	m.AddRow("w", terms, lp.LE, 55)
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel()
-	sol, err := SolveContext(ctx, m, &Options{GapTol: 1e-12, Workers: 4, DisableDiving: true})
+	sol, err := SolveContext(ctx, m, &Options{GapTol: 1e-12, Workers: 4, disableDiving: true})
 	if err != nil {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)

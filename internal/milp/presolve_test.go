@@ -232,7 +232,7 @@ func TestPresolvePreservesOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		without, err := Solve(m, &Options{DisablePresolve: true})
+		without, err := Solve(m, &Options{disablePresolve: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

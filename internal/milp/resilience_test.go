@@ -15,7 +15,7 @@ import (
 // budget trips on the first claim after the root branches.
 func TestBudgetMemoryStopsGracefully(t *testing.T) {
 	m := stressModels()["knapsack30"]()
-	sol, err := Solve(m, &Options{Workers: 1, DisableDiving: true, MemoryBytes: 1})
+	sol, err := Solve(m, &Options{Workers: 1, disableDiving: true, MemoryBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestOptionLimitBeatsLaterCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	m := stressModels()["knapsack30"]()
-	sol, err := SolveContext(ctx, m, &Options{Workers: 1, DisableDiving: true, TimeLimit: time.Nanosecond})
+	sol, err := SolveContext(ctx, m, &Options{Workers: 1, disableDiving: true, TimeLimit: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestEarlierCtxDeadlineWinsAsCanceled(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	m := stressModels()["knapsack30"]()
-	sol, err := SolveContext(ctx, m, &Options{Workers: 1, DisableDiving: true, TimeLimit: time.Hour})
+	sol, err := SolveContext(ctx, m, &Options{Workers: 1, disableDiving: true, TimeLimit: time.Hour})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

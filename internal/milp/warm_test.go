@@ -131,7 +131,7 @@ func TestGapZeroOptimum(t *testing.T) {
 	// Presolve would round the ≤1.5 row down to ≤1 and solve at the
 	// root; disable it so the zero-incumbent gap test actually
 	// exercises the branching loop's gap computation.
-	sol, err := Solve(m, &Options{Workers: 1, DisablePresolve: true})
+	sol, err := Solve(m, &Options{Workers: 1, disablePresolve: true})
 	if err != nil {
 		t.Fatal(err)
 	}

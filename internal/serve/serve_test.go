@@ -22,8 +22,7 @@ import (
 // across runs.
 func testOptions() core.Options {
 	return core.Options{
-		Aggregate: true,
-		Solver:    milp.Options{GapTol: 1e-3, MaxNodes: 20000, TimeLimit: time.Minute, Workers: 1},
+		Solver: milp.Options{GapTol: 1e-3, MaxNodes: 20000, TimeLimit: time.Minute, Workers: 1},
 	}
 }
 

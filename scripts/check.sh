@@ -22,7 +22,14 @@
 #                  -validate) — the perf trajectory is part of the
 #                  reviewed surface, not a scratch directory
 #   8. output lock the golden-plan and metamorphic suites, explicitly:
-#                  byte-stable plan JSON + certified-objective invariance
+#                  byte-stable plan JSON + certified-objective invariance;
+#                  plus the model-equivalence suites: the planner's
+#                  optimum must equal a brute-force enumeration
+#                  (TestPlannerMatchesBruteForce), the paper's §IV-B DR
+#                  encoding, kept as a test reference, must reach the
+#                  same optimum (TestPairVsPaperFormulationEquivalent),
+#                  and group aggregation must be exact and shrink the
+#                  model (TestAggregationExact)
 #   9. fault smoke each injectable fault class forced against a small
 #                  dataset end to end, without and with -dr: the planner
 #                  must exit 0 (recovered) or 3 (degraded-but-feasible),
@@ -101,9 +108,10 @@ echo "    internal/obs coverage: ${cover}%"
 echo "==> bench report schema validation (docs/benchmarks)"
 go run ./cmd/etbench -validate docs/benchmarks
 
-echo "==> golden plan + metamorphic output locks"
+echo "==> golden plan + metamorphic + model-equivalence output locks"
 go test ./cmd/etransform -run TestGoldenPlans
 go test ./internal/core -run 'TestMetamorphic(CostScaling|IndexPermutation|DominatedDC)'
+go test ./internal/core -run 'TestPlannerMatchesBruteForce|TestPairVsPaperFormulationEquivalent|TestAggregationExact'
 
 echo "==> fault-injection smoke matrix"
 SMOKE_DIR=$(mktemp -d)
