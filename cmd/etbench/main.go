@@ -166,9 +166,7 @@ func run(args []string) error {
 
 	// The -json report accumulates one scenario per fig4/fig6 case-study
 	// solve, appended in the fixed render order so the artifact is as
-	// deterministic as the text output. With -json set, each dataset is
-	// additionally re-solved with root cuts so the artifact carries a
-	// baseline/"+cuts" pair per dataset; counters come from the metrics
+	// deterministic as the text output; counters come from the metrics
 	// snapshot the solve embeds in its stats.
 	var benchScenarios []obs.BenchScenario
 
@@ -209,7 +207,6 @@ func run(args []string) error {
 		}
 		// Solve the datasets concurrently; render in the fixed order.
 		results := make([]*experiments.CaseStudyResult, len(cfgs))
-		cutsResults := make([]*experiments.CaseStudyResult, len(cfgs))
 		errs := make([]error, len(cfgs))
 		var wg sync.WaitGroup
 		for i := range cfgs {
@@ -219,12 +216,6 @@ func run(args []string) error {
 				scCold := sc
 				scCold.CollectMetrics = *jsonOut != ""
 				results[i], errs[i] = experiments.CaseStudy(cfgs[i], scCold, dr)
-				if errs[i] != nil || *jsonOut == "" {
-					return
-				}
-				scCuts := scCold
-				scCuts.Cuts = true
-				cutsResults[i], errs[i] = experiments.CaseStudy(cfgs[i], scCuts, dr)
 			}(i)
 		}
 		wg.Wait()
@@ -238,15 +229,6 @@ func run(args []string) error {
 				res.Stats.Rows, res.Stats.Cols, res.Stats.Nodes, res.Stats.Gap,
 				res.Stats.Workers, res.Stats.WallMillis, res.Stats.WorkMillis)
 			benchScenarios = append(benchScenarios, scenario(fig+"/"+cfg.Name, dr, res))
-			if cres := cutsResults[i]; cres != nil {
-				cs := scenario(fig+"/"+cfg.Name+"+cuts", dr, cres)
-				cs.CutsEnabled = true
-				fmt.Printf("cuts re-solve: %d nodes, %d iterations, wall %dms, gap %.2g, %d cuts (%d active), cost Δ %+.2f\n\n",
-					cres.Stats.Nodes, cres.Stats.Iterations, cres.Stats.WallMillis, cres.Stats.Gap,
-					cs.CutsSeparated, cs.CutsActive,
-					cres.Cost("ETRANSFORM")-res.Cost("ETRANSFORM"))
-				benchScenarios = append(benchScenarios, cs)
-			}
 			var rows [][]string
 			for _, algo := range experiments.AlgorithmNames {
 				b, ok := res.Breakdowns[algo]

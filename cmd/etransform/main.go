@@ -50,7 +50,6 @@ import (
 	"github.com/etransform/etransform/internal/core"
 	"github.com/etransform/etransform/internal/lp"
 	"github.com/etransform/etransform/internal/milp"
-	"github.com/etransform/etransform/internal/milp/cuts"
 	"github.com/etransform/etransform/internal/model"
 	"github.com/etransform/etransform/internal/obs"
 	"github.com/etransform/etransform/internal/report"
@@ -93,7 +92,6 @@ func run(args []string) (degraded bool, err error) {
 	showReport := fs.Bool("report", true, "print the human-readable plan report")
 	memBudget := fs.Int64("membudget", 0, "open-node queue memory budget in bytes (0 = unlimited)")
 	workers := fs.Int("workers", 0, "branch & bound worker goroutines (0 = all CPUs, 1 = deterministic)")
-	cutsOn := fs.Bool("cuts", false, "separate Gomory and cover cuts at the root (same answer, tighter bound)")
 	traceOut := fs.String("trace", "", "write a structured JSONL solve trace to this file (byte-stable at -workers 1)")
 	metricsOut := fs.String("metrics", "", "write the solve metrics snapshot JSON to this file")
 	profileDir := fs.String("profile", "", "write cpu.pprof and heap.pprof profiles into this directory")
@@ -144,7 +142,6 @@ func run(args []string) (degraded bool, err error) {
 			TimeLimit:   *timeLimit,
 			MemoryBytes: *memBudget,
 			Workers:     *workers,
-			Cuts:        cuts.Options{Enable: *cutsOn},
 			Inject:      inject,
 			Trace:       obsrv.Tracer,
 			Metrics:     obsrv.Metrics,

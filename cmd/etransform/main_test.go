@@ -133,6 +133,9 @@ func TestRunErrors(t *testing.T) {
 	if _, err := run([]string{"-state", state, "-pin", "nope=target-0", "-report=false"}); err == nil {
 		t.Error("unknown pin group accepted")
 	}
+	if _, err := run([]string{"-state", state, "-gap", "NaN", "-report=false"}); err == nil || !strings.Contains(err.Error(), "gap") {
+		t.Errorf("-gap NaN: err = %v, want the gap tolerance rejected", err)
+	}
 }
 
 func TestSplitPair(t *testing.T) {

@@ -41,7 +41,6 @@ import (
 	"github.com/etransform/etransform/internal/core"
 	"github.com/etransform/etransform/internal/experiments"
 	"github.com/etransform/etransform/internal/milp"
-	"github.com/etransform/etransform/internal/milp/cuts"
 	"github.com/etransform/etransform/internal/model"
 	"github.com/etransform/etransform/internal/serve"
 )
@@ -88,7 +87,6 @@ func run(args []string) error {
 	timeLimit := fs.Duration("timelimit", 5*time.Minute, "per-job solve wall-clock limit")
 	memBudget := fs.Int64("membudget", 0, "open-node queue memory budget in bytes (0 = unlimited)")
 	workers := fs.Int("workers", 0, "branch & bound worker goroutines per job (0 = all CPUs, 1 = deterministic traces)")
-	cutsOn := fs.Bool("cuts", false, "separate Gomory and cover cuts at the root")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -105,8 +103,12 @@ func run(args []string) error {
 			TimeLimit:   *timeLimit,
 			MemoryBytes: *memBudget,
 			Workers:     *workers,
-			Cuts:        cuts.Options{Enable: *cutsOn},
 		},
+	}
+	// Refuse a bad solve flag once, before preload and the listener,
+	// instead of failing every job the daemon accepts.
+	if err := coreOpts.Validate(); err != nil {
+		return err
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

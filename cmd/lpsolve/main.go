@@ -37,7 +37,6 @@ import (
 	"github.com/etransform/etransform/internal/certify"
 	"github.com/etransform/etransform/internal/lp"
 	"github.com/etransform/etransform/internal/milp"
-	"github.com/etransform/etransform/internal/milp/cuts"
 	"github.com/etransform/etransform/internal/obs"
 	"github.com/etransform/etransform/internal/resilience/faultinject"
 	"github.com/etransform/etransform/internal/tol"
@@ -63,7 +62,6 @@ func run(args []string) (degraded bool, err error) {
 	timeLimit := fs.Duration("timelimit", 10*time.Minute, "wall-clock limit")
 	memBudget := fs.Int64("membudget", 0, "open-node queue memory budget in bytes (0 = unlimited)")
 	workers := fs.Int("workers", 0, "branch & bound worker goroutines (0 = all CPUs, 1 = deterministic)")
-	cutsOn := fs.Bool("cuts", false, "separate Gomory and cover cuts at the root (same answer, tighter bound)")
 	traceOut := fs.String("trace", "", "write a structured JSONL solve trace to this file (byte-stable at -workers 1)")
 	metricsOut := fs.String("metrics", "", "write the solve metrics snapshot JSON to this file")
 	profileDir := fs.String("profile", "", "write cpu.pprof and heap.pprof profiles into this directory")
@@ -116,7 +114,6 @@ func run(args []string) (degraded bool, err error) {
 	sol, err := milp.SolveContext(ctx, m, &milp.Options{
 		GapTol: *gap, MaxNodes: *nodes, TimeLimit: *timeLimit, Workers: *workers,
 		MemoryBytes: *memBudget,
-		Cuts:        cuts.Options{Enable: *cutsOn},
 		Inject:      inject,
 		Trace:       obsrv.Tracer,
 		Metrics:     obsrv.Metrics,

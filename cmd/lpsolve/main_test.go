@@ -68,14 +68,16 @@ func TestRunFaultSpec(t *testing.T) {
 // TestRunDegradedExit: a node budget too small to close the gap but
 // large enough to find an incumbent must surrender it as degraded (exit
 // code 3 path). Workers=1 makes the search — and so the incumbent's
-// existence at this node count — deterministic.
+// existence at this node count — deterministic. The two-row knapsack
+// still branches after the root cuts.
 func TestRunDegradedExit(t *testing.T) {
 	path := writeFile(t, "m.lp", `Maximize
- obj: 8 a + 11 b + 6 c + 4 d + 7 e + 9 f + 5 g + 10 h
+ obj: 6 a + 7 b + 20 c + 8 d + 10 e + 7 f + 17 g + 16 h + 9 i + 9 j
 Subject To
- w: 5 a + 7 b + 4 c + 3 d + 5 e + 6 f + 4 g + 7 h <= 14
+ w0: 4 a + 8 b + 4 c + 4 d + 11 e + 5 f + 5 g + 2 h + 8 i + 5 j <= 28
+ w1: 3 a + 3 b + 8 c + 7 d + 4 e + 4 f + 10 g + 10 h + 12 i + 6 j <= 33
 Binaries
- a b c d e f g h
+ a b c d e f g h i j
 End`)
 	degraded, err := run([]string{"-nodes", "30", "-workers", "1", path})
 	if err != nil {

@@ -3,20 +3,17 @@ package core
 import (
 	"fmt"
 
-	"github.com/etransform/etransform/internal/certify"
-	"github.com/etransform/etransform/internal/lp"
 	"github.com/etransform/etransform/internal/model"
-	"github.com/etransform/etransform/internal/tol"
 )
 
 // CertifyPlan independently certifies an externally produced plan —
 // e.g. a per-sample optimum the robustness harness wants to promote to
 // the ranked-plan list — against this planner's exact MILP: the concrete
-// assignment is encoded as a full variable point (placements, backup
-// pools, space-segment fills) and checked by internal/certify with the
-// same tolerances every solver-produced plan passes through. It returns
-// the certificate summary; an error means the plan is not feasible for
-// this planner's state and options.
+// assignment goes through planFromPoint, the encode, certify and decode
+// path every fallback plan takes, so it is checked by internal/certify
+// with the same tolerances every solver-produced plan passes through. It
+// returns the certificate summary; an error means the plan is not
+// feasible for this planner's state and options.
 //
 // The model is built without candidate pruning so no legal placement is
 // missing a column.
@@ -24,7 +21,11 @@ func (p *Planner) CertifyPlan(plan *model.Plan) (string, error) {
 	if plan == nil {
 		return "", fmt.Errorf("core: nil plan")
 	}
-	b, err := p.build(0)
+	// Only the certificate is wanted, not the shadow-price LP that
+	// decoding the plan would otherwise solve.
+	q := *p
+	q.opts.ComputeShadowPrices = false
+	b, err := q.build(0)
 	if err != nil {
 		return "", err
 	}
@@ -32,22 +33,11 @@ func (p *Planner) CertifyPlan(plan *model.Plan) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	x, ok := b.encodePoint(placement, secondary)
-	if !ok {
-		return "", fmt.Errorf("core: plan for %s cannot be encoded as a model point", b.m.Name)
-	}
-	sol := &lp.Solution{Status: lp.StatusFeasible, X: x, Objective: b.m.Objective(x), Gap: unknownGap}
-	cert, err := certify.CheckSolution(b.m, sol, &certify.Options{FeasTol: tol.Accept, IntTol: tol.Accept})
+	certified, err := b.planFromPoint(placement, secondary)
 	if err != nil {
-		return "", fmt.Errorf("core: certifying plan for %s: %w", b.m.Name, err)
+		return "", err
 	}
-	if cert == nil {
-		return "", fmt.Errorf("core: certifier produced no certificate for %s", b.m.Name)
-	}
-	if err := cert.Err(); err != nil {
-		return "", fmt.Errorf("core: plan for %s failed certification: %w", b.m.Name, err)
-	}
-	return cert.Summary(), nil
+	return certified.Stats.Certificate, nil
 }
 
 // assignmentIndices maps a plan's named assignments onto this state's

@@ -293,7 +293,7 @@ func (b *builder) finishSolution(sol *lp.Solution) (*model.Plan, error) {
 func (b *builder) planFromPoint(placement, secondary []int) (*model.Plan, error) {
 	x, ok := b.encodePoint(placement, secondary)
 	if !ok {
-		return nil, fmt.Errorf("core: fallback assignment needs a column pruned out of the model")
+		return nil, fmt.Errorf("core: assignment for %s needs a column pruned out of the model", b.m.Name)
 	}
 	sol := &lp.Solution{Status: lp.StatusFeasible, X: x, Objective: b.m.Objective(x), Gap: unknownGap}
 	return b.finishSolution(sol)

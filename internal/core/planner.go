@@ -35,10 +35,11 @@ type Options struct {
 	// merged into integer-count variables, an exact reformulation; the
 	// field no longer selects anything and will be removed.
 	Aggregate bool
-	// ComputeShadowPrices re-solves the LP with the plan's integer
-	// decisions fixed and records each capacity row's dual value in
-	// Plan.CapacityShadow — the marginal worth of one more server slot
-	// per data center.
+	// ComputeShadowPrices solves the plain LP relaxation and records
+	// each capacity row's dual value in Plan.CapacityShadow — the
+	// relaxation's marginal worth of one more server slot per data
+	// center. The integer decisions are not fixed: that would make every
+	// capacity row's dual degenerate (see shadowPrices).
 	ComputeShadowPrices bool
 	// Solver passes through branch & bound options.
 	Solver milp.Options
@@ -55,13 +56,23 @@ type Planner struct {
 	seedSecondary []int
 }
 
-// New validates the state and returns a Planner.
+// Validate rejects a NaN ω and the solver options milp.Options.Validate
+// rejects, before any work. New calls it; a daemon calls it once at
+// start-up, before it accepts jobs.
+func (o Options) Validate() error {
+	if math.IsNaN(o.Omega) {
+		return fmt.Errorf("core: omega (ω) is NaN; want a fraction in (0, 1), or a value ≤ 0 or ≥ 1 to disable the cap")
+	}
+	return o.Solver.Validate()
+}
+
+// New validates the options and the state and returns a Planner.
 func New(state *model.AsIsState, opts Options) (*Planner, error) {
-	if err := state.Validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if math.IsNaN(opts.Omega) {
-		return nil, fmt.Errorf("core: omega (ω) is NaN; want a fraction in (0, 1), or a value ≤ 0 or ≥ 1 to disable the cap")
+	if err := state.Validate(); err != nil {
+		return nil, err
 	}
 	if opts.DR && len(state.Target.DCs) < 2 {
 		return nil, fmt.Errorf("core: DR planning needs at least 2 target data centers, have %d", len(state.Target.DCs))

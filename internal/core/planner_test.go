@@ -367,6 +367,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(s, Options{Omega: math.NaN()}); err == nil || !strings.Contains(err.Error(), "omega") {
 		t.Errorf("NaN omega: err = %v, want an error naming omega", err)
 	}
+	for _, g := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := New(s, Options{Solver: milp.Options{GapTol: g}}); err == nil || !strings.Contains(err.Error(), "gap") {
+			t.Errorf("GapTol %v: err = %v, want an error naming the gap", g, err)
+		}
+	}
 	s.Target.DCs = s.Target.DCs[:1]
 	s.Target.LatencyMs = [][]float64{{25}, {5}}
 	if _, err := New(s, Options{DR: true}); err == nil {

@@ -24,7 +24,6 @@ import (
 	"github.com/etransform/etransform/internal/core"
 	"github.com/etransform/etransform/internal/datagen"
 	"github.com/etransform/etransform/internal/milp"
-	"github.com/etransform/etransform/internal/milp/cuts"
 	"github.com/etransform/etransform/internal/model"
 	"github.com/etransform/etransform/internal/obs"
 	"github.com/etransform/etransform/internal/report"
@@ -54,10 +53,6 @@ type Scale struct {
 	// picks a non-oversubscribing default: 1 inside a concurrent sweep
 	// (the sweep already saturates the cores), runtime.NumCPU() otherwise.
 	SolverWorkers int
-	// Cuts separates Gomory and cover cuts at the root node
-	// (milp.Options.Cuts). Same certified answers, tighter dual bound;
-	// off by default.
-	Cuts bool
 	// CollectMetrics arms an observability registry on each solve so the
 	// result's SolveStats.Metrics snapshot carries the solver counters
 	// (pivots, warm hits, factorizations, …). Off by default: metrics
@@ -86,7 +81,6 @@ func (sc Scale) solver() milp.Options {
 	o := milp.Options{
 		GapTol: sc.GapTol, MaxNodes: sc.MaxNodes, TimeLimit: sc.TimeLimit,
 		Workers: workers,
-		Cuts:    cuts.Options{Enable: sc.Cuts},
 	}
 	if sc.CollectMetrics {
 		o.Metrics = obs.NewMetrics()

@@ -40,6 +40,15 @@ func (c *coordinator) buildStash() {
 	}
 }
 
+// rootGapOpen reports whether the root LP bound leaves the incumbent
+// outside GapTol: the test that prunes a tree node. Once it fails the
+// tree would prune the root's children anyway, so a tighter bound buys
+// nothing.
+func (c *coordinator) rootGapOpen(bound float64) bool {
+	incObj, haveInc := c.snapshotIncumbent()
+	return !haveInc || bound < incObj-c.pruneEps(incObj)
+}
+
 // rootCuts runs cutting-plane rounds at the root: separate Gomory
 // mixed-integer cuts from the optimal tableau and cover cuts from the
 // knapsack rows, screen them, verify every survivor against the stash
@@ -55,6 +64,11 @@ func (c *coordinator) buildStash() {
 // LP optimum (it was not binding there), so the returned strengthened
 // root solution remains valid for the slimmer model.
 //
+// A round, the first included, starts only while rootGapOpen holds, so
+// a root the warm starts already close separates nothing and builds no
+// stash; the bound rises with each round and the loop stops as soon as
+// it reaches the incumbent.
+//
 // A mid-round failure (deadline expiry inside a re-solve, or a
 // numerically sick cut LP) rolls the offending batch back and stops
 // cutting; the search proceeds from the last good round. A cut that
@@ -62,20 +76,22 @@ func (c *coordinator) buildStash() {
 // separation bug, returned as a hard error so the planner's fallback
 // pipeline takes over rather than silently searching a mutilated tree.
 func (c *coordinator) rootCuts(w0 *worker, root *lp.Solution) (*lp.Solution, error) {
-	o := c.opts.Cuts.WithDefaults(c.model.NumVars())
+	o := cuts.Options{}.WithDefaults(c.model.NumVars())
 	isInt := make([]bool, c.model.NumVars())
 	for _, v := range c.intVars {
 		isInt[v] = true
 	}
-	c.buildStash()
 	pool := cuts.NewPool()
 	cur := root
 	for round := 0; round < cuts.MaxRounds; round++ {
-		if c.expired() || c.ctx.Err() != nil {
+		if c.expired() || c.ctx.Err() != nil || !c.rootGapOpen(cur.Objective) {
 			break
 		}
 		if v, _ := c.mostFractional(cur.X); v < 0 {
 			break // the cut LP optimum is already integral
+		}
+		if round == 0 {
+			c.buildStash()
 		}
 		var cand []cuts.Cut
 		if view := w0.sx.TableauView(); view != nil {

@@ -83,7 +83,7 @@ func TestCoverDegenerateRows(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := binModel(t, 2, tc.rows)
 			isInt := []bool{true, true}
-			o := (&Options{Enable: true}).WithDefaults(m.NumVars())
+			o := Options{}.WithDefaults(m.NumVars())
 			cuts := SeparateCovers(m.Relax(), isInt, tc.x, &o)
 			if len(cuts) != tc.wantCuts {
 				t.Fatalf("got %d cuts, want %d: %+v", len(cuts), tc.wantCuts, cuts)
@@ -107,7 +107,7 @@ func TestCoverNonBinaryVarsRejected(t *testing.T) {
 	if err := m.Err(); err != nil {
 		t.Fatalf("model build: %v", err)
 	}
-	o := (&Options{Enable: true}).WithDefaults(m.NumVars())
+	o := Options{}.WithDefaults(m.NumVars())
 	cuts := SeparateCovers(m.Relax(), []bool{true, true}, []float64{0.75, 0.75}, &o)
 	if len(cuts) != 0 {
 		t.Fatalf("got %d cuts from a non-binary row, want 0: %+v", len(cuts), cuts)
@@ -155,7 +155,7 @@ func TestGomoryAndCoverCloseKnapsackGap(t *testing.T) {
 	}
 
 	isInt := []bool{true, true}
-	o := (&Options{Enable: true}).WithDefaults(m.NumVars())
+	o := Options{}.WithDefaults(m.NumVars())
 	var all []Cut
 	if view := sx.TableauView(); view != nil {
 		all = append(all, SeparateGomory(relaxed, isInt, view, &o)...)

@@ -56,40 +56,34 @@ const (
 	maxDynamism = 1e7
 )
 
-// Options control separation. The zero value disables cutting entirely;
-// Enable with everything else zero applies defaults.
+// Options are the separators' screens. Only WithDefaults sets them in
+// production; the validity suite loosens minViolation and minFrac to
+// push more candidates through the exact-arithmetic checks.
 type Options struct {
-	// Enable turns root-node cut separation on. Off by default: default
-	// solve trajectories (and their golden traces) must stay byte-stable.
-	Enable bool
-	// MinViolation is the minimum normalized violation (violation over
+	// minViolation is the minimum normalized violation (violation over
 	// the cut's coefficient 2-norm) a candidate must achieve at the
-	// separating LP point. Default 1e-4.
-	MinViolation float64
-	// MinFrac is the minimum distance from integrality the fractional
+	// separating LP point. Default tol.CutViolation.
+	minViolation float64
+	// minFrac is the minimum distance from integrality the fractional
 	// basic variable (and the GMI row fraction f0) must have; rows closer
 	// to integral than this produce numerically fragile cuts. Default 5e-3.
-	MinFrac float64
+	minFrac float64
 	// maxDensity caps a cut's nonzero count: max(100, n/2) for a model
-	// of n variables, set by WithDefaults.
+	// of n variables.
 	maxDensity int
 }
 
 // WithDefaults returns o with defaults applied for a model of n
 // variables.
-func (o *Options) WithDefaults(n int) Options {
-	out := Options{}
-	if o != nil {
-		out = *o
+func (o Options) WithDefaults(n int) Options {
+	if o.minViolation <= 0 {
+		o.minViolation = tol.CutViolation
 	}
-	if out.MinViolation <= 0 {
-		out.MinViolation = tol.CutViolation
+	if o.minFrac <= 0 {
+		o.minFrac = 5e-3
 	}
-	if out.MinFrac <= 0 {
-		out.MinFrac = 5e-3
-	}
-	out.maxDensity = max(100, n/2)
-	return out
+	o.maxDensity = max(100, n/2)
+	return o
 }
 
 // Cut is one separated inequality over the model's structural
@@ -199,7 +193,7 @@ func (c *Cut) finish(x []float64, o *Options) bool {
 		return false
 	}
 	c.Violation = c.violationAt(x) / n
-	return c.Violation >= o.MinViolation
+	return c.Violation >= o.minViolation
 }
 
 // SelectBest ranks candidates by normalized violation (descending,

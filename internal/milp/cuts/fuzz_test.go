@@ -115,7 +115,7 @@ func FuzzGomoryRow(f *testing.F) {
 			in.rowRHS[rr] = r.smallFloat()
 		}
 
-		o := (&Options{Enable: true}).WithDefaults(n)
+		o := Options{}.WithDefaults(n)
 		c, ok := gomoryFromRow(in, &o)
 		if !ok {
 			return
@@ -138,7 +138,7 @@ func FuzzGomoryRow(f *testing.F) {
 		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
 			t.Fatalf("non-finite RHS survived finish: %+v", c)
 		}
-		if !(c.Violation >= o.MinViolation) {
+		if !(c.Violation >= o.minViolation) {
 			t.Fatalf("finished cut below the violation floor: %+v", c)
 		}
 	})
@@ -195,14 +195,14 @@ func FuzzCoverSeparation(f *testing.F) {
 		for j := range isInt {
 			isInt[j] = true
 		}
-		o := (&Options{Enable: true}).WithDefaults(n)
+		o := Options{}.WithDefaults(n)
 		cuts := SeparateCovers(m.Relax(), isInt, x, &o)
 		for i := range cuts {
 			c := &cuts[i]
 			if c.RHS < -0.5 {
 				t.Fatalf("vacuous cover cut (empty cover): %+v", c)
 			}
-			if !(c.Violation >= o.MinViolation) {
+			if !(c.Violation >= o.minViolation) {
 				t.Fatalf("cover cut below the violation floor: %+v", c)
 			}
 		}

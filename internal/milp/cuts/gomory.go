@@ -68,7 +68,7 @@ type gmiRow struct {
 func gomoryFromRow(in *gmiRow, o *Options) (Cut, bool) {
 	nTot := len(in.alpha)
 	f0 := in.beta - math.Floor(in.beta)
-	if f0 < o.MinFrac || f0 > 1-o.MinFrac {
+	if f0 < o.minFrac || f0 > 1-o.minFrac {
 		return Cut{}, false
 	}
 	// Sanity: the basic column of its own row must carry coefficient 1.
@@ -270,7 +270,7 @@ func SeparateGomory(m *lp.Model, isInt []bool, view *simplex.TableauView, o *Opt
 			continue
 		}
 		beta := view.BasicValue(r)
-		if f := beta - math.Floor(beta); f < o.MinFrac || f > 1-o.MinFrac {
+		if f := beta - math.Floor(beta); f < o.minFrac || f > 1-o.minFrac {
 			continue
 		}
 		alpha = view.Row(r, alpha)

@@ -157,7 +157,7 @@ func runValiditySeed(t *testing.T, seed int64) (nGomory, nCover int) {
 		isInt[j] = m.Var(lp.VarID(j)).Type != lp.Continuous
 	}
 	pts := enumerateFeasible(m)
-	o := (&Options{Enable: true, MinViolation: 1e-6, MinFrac: 1e-3}).WithDefaults(m.NumVars())
+	o := Options{minViolation: 1e-6, minFrac: 1e-3}.WithDefaults(m.NumVars())
 
 	view := sx.TableauView()
 	var gcuts []Cut
@@ -233,7 +233,7 @@ func ratFloor(r *big.Rat) *big.Rat {
 // disagreement beyond accumulated rounding is a derivation bug.
 func ratGomoryFromRow(in *gmiRow, o *Options) (map[int]*big.Rat, *big.Rat, bool) {
 	nTot := len(in.alpha)
-	if f0 := in.beta - math.Floor(in.beta); f0 < o.MinFrac || f0 > 1-o.MinFrac {
+	if f0 := in.beta - math.Floor(in.beta); f0 < o.minFrac || f0 > 1-o.minFrac {
 		return nil, nil, false
 	}
 	if math.Abs(in.alpha[in.basic]-1) > 1e-6 {
@@ -340,7 +340,7 @@ func crossCheckRational(t *testing.T, seed int64, m *lp.Model, isInt []bool, vie
 			continue
 		}
 		beta := view.BasicValue(r)
-		if f := beta - math.Floor(beta); f < o.MinFrac || f > 1-o.MinFrac {
+		if f := beta - math.Floor(beta); f < o.minFrac || f > 1-o.minFrac {
 			continue
 		}
 		alpha = view.Row(r, alpha)

@@ -6,25 +6,25 @@ import (
 	"testing"
 
 	"github.com/etransform/etransform/internal/lp"
-	"github.com/etransform/etransform/internal/milp/cuts"
 	"github.com/etransform/etransform/internal/obs"
 )
 
-// TestCutsCloseKnapsackGapAtRoot: on min −x0−x1 s.t. 2x0+2x1 ≤ 3 the
-// root LP bound is −1.5; with cuts enabled the root must separate at
-// least one cut (the cover x0+x1 ≤ 1 closes the gap entirely) and the
-// solve must still land exactly on the MILP optimum −1.
-func TestCutsCloseKnapsackGapAtRoot(t *testing.T) {
+// knapsack2 is min −a−b s.t. 2a+2b ≤ 3 over binaries a, b: the root LP
+// bound is −1.5, the MILP optimum −1, and the cover a+b ≤ 1 closes the
+// gap.
+func knapsack2() *lp.Model {
 	m := lp.NewModel("gap")
 	a := m.AddBinary("a", -1)
 	b := m.AddBinary("b", -1)
 	m.AddRow("cap", []lp.Term{{Var: a, Coef: 2}, {Var: b, Coef: 2}}, lp.LE, 3)
+	return m
+}
 
+// TestCutsCloseKnapsackGapAtRoot: the root must separate at least one
+// cut and the solve must still land exactly on the MILP optimum −1.
+func TestCutsCloseKnapsackGapAtRoot(t *testing.T) {
 	met := obs.NewMetrics()
-	sol := solveOrFatal(t, m, &Options{
-		Cuts:    cuts.Options{Enable: true},
-		Metrics: met,
-	})
+	sol := solveOrFatal(t, knapsack2(), &Options{Metrics: met})
 	if sol.Status != lp.StatusOptimal || math.Abs(sol.Objective - -1) > 1e-9 {
 		t.Fatalf("status %v objective %v, want optimal -1", sol.Status, sol.Objective)
 	}
@@ -36,36 +36,47 @@ func TestCutsCloseKnapsackGapAtRoot(t *testing.T) {
 	}
 }
 
-// TestCutsMetricsAbsentWhenDisabled: the default configuration must not
-// grow new metric keys — golden metric snapshots depend on the exact
-// key set.
-func TestCutsMetricsAbsentWhenDisabled(t *testing.T) {
-	m := lp.NewModel("nometrics")
-	a := m.AddBinary("a", -1)
-	b := m.AddBinary("b", -1)
-	m.AddRow("cap", []lp.Term{{Var: a, Coef: 2}, {Var: b, Coef: 2}}, lp.LE, 3)
-	met := obs.NewMetrics()
-	solveOrFatal(t, m, &Options{Metrics: met})
-	snap := met.Snapshot()
-	for _, k := range []string{obs.MetricMILPCutsSeparated, obs.MetricMILPCutsActive} {
-		if _, ok := snap.Counters[k]; ok {
-			t.Errorf("metric %s present in a cuts-off solve", k)
+// TestCutsStopAtClosedRootGap locks the cut loop's stop rule: a round
+// starts only while the root LP bound leaves the incumbent outside
+// GapTol. With the warm start a=1 (objective −1) against the root
+// bound −1.5 the relative gap is 0.5, so at GapTol 0.6 the root is
+// already closed and separates nothing — no cut counter key at all —
+// while at GapTol 0.4 it must cut.
+func TestCutsStopAtClosedRootGap(t *testing.T) {
+	for _, tc := range []struct {
+		gapTol float64
+		cuts   bool
+	}{{0.6, false}, {0.4, true}} {
+		met := obs.NewMetrics()
+		sol := solveOrFatal(t, knapsack2(), &Options{
+			GapTol:     tc.gapTol,
+			Workers:    1,
+			WarmStarts: [][]float64{{1, 0}},
+			Metrics:    met,
+		})
+		if !sol.Status.HasSolution() || math.Abs(sol.Objective - -1) > 1e-9 {
+			t.Fatalf("GapTol %v: status %v objective %v, want -1", tc.gapTol, sol.Status, sol.Objective)
+		}
+		_, cut := met.Snapshot().Counters[obs.MetricMILPCutsSeparated]
+		if cut != tc.cuts {
+			t.Errorf("GapTol %v: %s present = %v, want %v", tc.gapTol, obs.MetricMILPCutsSeparated, cut, tc.cuts)
 		}
 	}
 }
 
-// TestCutsEquivalence: enabling root cuts must never change the
-// certified optimum — only how fast the tree collapses. 40 seeds at
-// workers 1 and 4 (run under -race by scripts/check.sh).
+// TestCutsEquivalence: root cuts must never change the certified
+// optimum — only how fast the tree collapses. The cuts-off reference
+// is disableCuts. 40 seeds at workers 1 and 4 (run under -race by
+// scripts/check.sh).
 func TestCutsEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for seed := int64(1); seed <= 40; seed++ {
 			m := randomObsModel(rand.New(rand.NewSource(seed)))
-			sol1, err := Solve(m, &Options{Workers: workers})
+			sol1, err := Solve(m, &Options{Workers: workers, disableCuts: true})
 			if err != nil {
 				t.Fatalf("seed=%d workers=%d: base solve: %v", seed, workers, err)
 			}
-			sol2, err := Solve(m, &Options{Workers: workers, Cuts: cuts.Options{Enable: true}})
+			sol2, err := Solve(m, &Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("seed=%d workers=%d: cuts solve: %v", seed, workers, err)
 			}
@@ -93,11 +104,7 @@ func TestCutsDeterministicAcrossWorkers(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			m := randomObsModel(rand.New(rand.NewSource(seed)))
 			met := obs.NewMetrics()
-			sol, err := Solve(m, &Options{
-				Workers: workers,
-				Cuts:    cuts.Options{Enable: true},
-				Metrics: met,
-			})
+			sol, err := Solve(m, &Options{Workers: workers, Metrics: met})
 			if err != nil {
 				t.Fatalf("seed=%d workers=%d: %v", seed, workers, err)
 			}
@@ -122,7 +129,7 @@ func TestCutsPureLPPassthrough(t *testing.T) {
 	m := lp.NewModel("pure")
 	x := m.AddVar(lp.Variable{Name: "x", Upper: 10, Cost: -1})
 	m.AddRow("r", []lp.Term{{Var: x, Coef: 2}}, lp.LE, 7)
-	sol := solveOrFatal(t, m, &Options{Cuts: cuts.Options{Enable: true}})
+	sol := solveOrFatal(t, m, nil)
 	if sol.Status != lp.StatusOptimal || math.Abs(sol.Objective - -3.5) > 1e-9 {
 		t.Fatalf("status %v objective %v, want optimal -3.5", sol.Status, sol.Objective)
 	}

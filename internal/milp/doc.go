@@ -6,7 +6,10 @@
 //
 // The search is best-first on the LP relaxation bound with
 // most-fractional branching and a diving primal heuristic that usually
-// produces a strong incumbent at the root. Termination is exact: when
+// produces a strong incumbent at the root. Before the tree fans out,
+// rounds of Gomory and knapsack-cover cuts (package cuts) tighten the
+// root relaxation for as long as its bound leaves the incumbent outside
+// GapTol, as CPLEX's default search does. Termination is exact: when
 // the node queue empties, the incumbent is optimal; otherwise the
 // reported Gap bounds the distance to the optimum.
 //

@@ -17,7 +17,9 @@ import (
 // a drift between the solvers and the documented pair set fails here.
 
 // limitKnapsack returns a 30-binary knapsack whose LP relaxation is
-// fractional, forcing branch & bound to open child nodes.
+// fractional, forcing branch & bound to open child nodes. Root cuts
+// close it at the root, so the node and memory cases run with
+// disableCuts.
 func limitKnapsack() *lp.Model {
 	rng := rand.New(rand.NewSource(3))
 	m := lp.NewModel("pairs")
@@ -58,14 +60,14 @@ func TestLimitPairSimplexWallClock(t *testing.T) {
 
 func TestLimitPairMILPNodes(t *testing.T) {
 	sol := solveOrFatal(t, limitKnapsack(), &Options{
-		MaxNodes: 1, GapTol: 1e-12, disableDiving: true, Workers: 1,
+		MaxNodes: 1, GapTol: 1e-12, disableDiving: true, disableCuts: true, Workers: 1,
 	})
 	assertPair(t, sol, lp.StatusNodeLimit, lp.LimitNodes)
 }
 
 func TestLimitPairMILPMemory(t *testing.T) {
 	sol := solveOrFatal(t, limitKnapsack(), &Options{
-		MemoryBytes: 1, GapTol: 1e-12, disableDiving: true, Workers: 1,
+		MemoryBytes: 1, GapTol: 1e-12, disableDiving: true, disableCuts: true, Workers: 1,
 	})
 	assertPair(t, sol, lp.StatusNodeLimit, lp.LimitMemory)
 }

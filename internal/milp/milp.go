@@ -3,12 +3,12 @@ package milp
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"time"
 
 	"github.com/etransform/etransform/internal/lp"
-	"github.com/etransform/etransform/internal/milp/cuts"
 	"github.com/etransform/etransform/internal/obs"
 	"github.com/etransform/etransform/internal/resilience/faultinject"
 	"github.com/etransform/etransform/internal/simplex"
@@ -76,18 +76,6 @@ type Options struct {
 	// their pivot counters. Production callers leave both nil: every
 	// instrumentation site is then a single pointer comparison.
 	Metrics *obs.Metrics
-	// Cuts configures root-node cutting planes (Gomory mixed-integer +
-	// knapsack covers; see internal/milp/cuts). Off by default: the
-	// default search trajectory must stay byte-stable for golden traces.
-	// Cut separation runs sequentially at the root before workers fan
-	// out, so the cut set is identical at any worker count; every
-	// accepted cut is re-verified against the stash of known
-	// integer-feasible points (warm starts, incumbent) and a violation
-	// is a hard solver error. The incumbent path never depends on cuts:
-	// tryAccept verifies candidate points against the cut-free model, so
-	// a wrong cut could only weaken the bound side, never certify an
-	// infeasible plan.
-	Cuts cuts.Options
 	// Workers is the number of branch & bound worker goroutines that
 	// pull nodes from the shared best-bound queue. 0 selects
 	// runtime.NumCPU(). Workers=1 runs the fully sequential search and
@@ -99,11 +87,26 @@ type Options struct {
 	// Simplex carries options for the LP subproblems.
 	Simplex simplex.Options
 
-	// disableDiving turns off the diving primal heuristic, and
-	// disablePresolve the bound-tightening presolve pass. Only this
-	// package's tests set them, to isolate the tree search from both.
+	// disableCuts turns off root cut separation, disableDiving the
+	// diving primal heuristic, and disablePresolve the bound-tightening
+	// presolve pass. Only this package's tests set them: the cuts-off
+	// search is the reference the cut equivalence suites compare
+	// against, and tests of the node loop use all three to keep a small
+	// model from closing at the root.
+	disableCuts     bool
 	disableDiving   bool
 	disablePresolve bool
+}
+
+// Validate rejects option values no default repairs. A NaN GapTol
+// passes the "≤ 0 means default" test and then fails every gap
+// comparison, so the search would run to its node limit; an infinite
+// one would prune every node. A nil o is valid.
+func (o *Options) Validate() error {
+	if o != nil && (math.IsNaN(o.GapTol) || math.IsInf(o.GapTol, 0)) {
+		return fmt.Errorf("milp: GapTol is %v; want a finite relative gap", o.GapTol)
+	}
+	return nil
 }
 
 func (o *Options) withDefaults() Options {
@@ -180,6 +183,9 @@ func SolveContext(ctx context.Context, model *lp.Model, opts *Options) (*lp.Solu
 	}
 	if err := model.Err(); err != nil {
 		return nil, fmt.Errorf("milp: invalid model: %w", err)
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	o := opts.withDefaults()
 	c := newCoordinator(ctx, o, model.Clone())

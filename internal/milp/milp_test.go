@@ -38,6 +38,19 @@ func TestKnapsack(t *testing.T) {
 	}
 }
 
+// TestNonFiniteGapTolRejected: Solve must refuse a NaN or infinite gap
+// tolerance up front (see Options.Validate).
+func TestNonFiniteGapTolRejected(t *testing.T) {
+	for _, g := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m := lp.NewModel("gap")
+		x := m.AddBinary("x", -1)
+		m.AddRow("r", []lp.Term{{Var: x, Coef: 2}}, lp.LE, 1)
+		if sol, err := Solve(m, &Options{GapTol: g}); err == nil {
+			t.Errorf("GapTol %v: solved (status %v), want an error", g, sol.Status)
+		}
+	}
+}
+
 func TestIntegerVariable(t *testing.T) {
 	// min -x  s.t. 2x <= 7, x integer in [0, 10] → x = 3.
 	m := lp.NewModel("int")

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/etransform/etransform/internal/lp"
-	"github.com/etransform/etransform/internal/milp/cuts"
 	"github.com/etransform/etransform/internal/obs"
 )
 
@@ -43,12 +42,13 @@ func randomObsModel(rng *rand.Rand) *lp.Model {
 
 // TestObsReconciliation is the metrics/trace/solution reconciliation
 // property: across 50 seeded solves at Workers 1 and 4, with root cuts
-// off and on, every quantity the observability layer reports must agree
-// with the lp.Solution the solver returned — same totals, same
-// per-worker split, same incumbent count, monotone incumbents, and a
-// (Status, Limit) pair ValidLimit accepts. The cuts axis locks the
-// accounting of the one opt-in root phase: its LP pivots must reach
-// both Solution.Iterations and the pivot counters.
+// (the default) and without (the disableCuts reference), every quantity
+// the observability layer reports must agree with the lp.Solution the
+// solver returned — same totals, same per-worker split, same incumbent
+// count, monotone incumbents, and a (Status, Limit) pair ValidLimit
+// accepts. The cuts axis locks the accounting of the root cut phase:
+// its LP pivots must reach both Solution.Iterations and the pivot
+// counters.
 func TestObsReconciliation(t *testing.T) {
 	const seeds = 50
 	for _, withCuts := range []bool{false, true} {
@@ -68,10 +68,10 @@ func reconcileSolve(t *testing.T, workers int, seed int64, withCuts bool) {
 	met := obs.NewMetrics()
 	sink := &obs.MemorySink{}
 	sol, err := Solve(m, &Options{
-		Workers: workers,
-		Cuts:    cuts.Options{Enable: withCuts},
-		Trace:   obs.NewDeterministic(sink),
-		Metrics: met,
+		Workers:     workers,
+		Trace:       obs.NewDeterministic(sink),
+		Metrics:     met,
+		disableCuts: !withCuts,
 	})
 	if err != nil {
 		t.Fatalf("workers=%d seed=%d cuts=%v: %v", workers, seed, withCuts, err)

@@ -34,8 +34,8 @@ type coordinator struct {
 	// Root-phase state, written only by the sequential root phase before
 	// worker fan-out (no lock needed; see solve's phase argument).
 	// cutModel is the integral model plus the root cuts that survived
-	// activity aging; workers relax it for their node LPs. nil when
-	// cutting is off or separated nothing. The incumbent path
+	// activity aging; workers relax it for their node LPs. nil when the
+	// root separated nothing. The incumbent path
 	// deliberately never sees it: tryAccept verifies points against the
 	// cut-free c.model.
 	cutModel      *lp.Model
@@ -644,7 +644,7 @@ func (c *coordinator) solve() (*lp.Solution, error) {
 	// Root cut rounds tighten the relaxation before the tree search.
 	// They run here in the sequential root phase, so the cut set is
 	// identical at any worker count.
-	if c.opts.Cuts.Enable {
+	if !c.opts.disableCuts {
 		var cerr error
 		root, cerr = c.rootCuts(w0, root)
 		c.iterations += w0.takeIterations()
@@ -867,9 +867,9 @@ func (c *coordinator) foldMetrics(sol *lp.Solution) {
 	}
 	m.Add(obs.MetricMILPWallMicros, sol.WallTime.Microseconds())
 	m.Add(obs.MetricMILPWorkMicros, sol.WorkTime.Microseconds())
-	// Cut counters fold only when cutting ran and produced something,
-	// so default-configuration metric snapshots keep their exact key set
-	// (golden reconciliation tests depend on it).
+	// Cut counters fold only when the root separated something, so a
+	// solve that never cut (a closed or integral root, a pure LP) keeps
+	// the cut-free key set.
 	if c.cutsSeparated > 0 {
 		m.Add(obs.MetricMILPCutsSeparated, c.cutsSeparated)
 	}

@@ -12,10 +12,11 @@ import (
 )
 
 // TestBudgetMemoryStopsGracefully: an absurdly small open-node memory
-// budget trips on the first claim after the root branches.
+// budget trips on the first claim after the root branches (root cuts
+// off: they close knapsack30 at the root).
 func TestBudgetMemoryStopsGracefully(t *testing.T) {
 	m := stressModels()["knapsack30"]()
-	sol, err := Solve(m, &Options{Workers: 1, disableDiving: true, MemoryBytes: 1})
+	sol, err := Solve(m, &Options{Workers: 1, disableDiving: true, disableCuts: true, MemoryBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +69,12 @@ func TestEarlierCtxDeadlineWinsAsCanceled(t *testing.T) {
 // deadline firing while workers hold in-flight nodes: the injected expiry
 // trips one worker's claim while its peers are mid-LP, and the solve must
 // still assemble a graceful node-limit result with the wall-clock label.
+// Root cuts are off so knapsack30 reaches the node loop.
 func TestInjectedDeadlineWithInFlightNodes(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		inj := faultinject.New(1, faultinject.Fault{Kind: faultinject.KindDeadline, After: 10, Count: -1})
 		m := stressModels()["knapsack30"]()
-		sol, err := Solve(m, &Options{Workers: workers, Inject: inj})
+		sol, err := Solve(m, &Options{Workers: workers, Inject: inj, disableCuts: true})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -90,14 +92,15 @@ func TestInjectedDeadlineWithInFlightNodes(t *testing.T) {
 
 // TestInjectedWorkerPanic is the race stress test for a worker dying
 // mid-search with a claimed node in flight: the solve must return an
-// error naming the panic — never deadlock the remaining workers.
+// error naming the panic — never deadlock the remaining workers. Root
+// cuts are off so knapsack30 reaches the node loop.
 func TestInjectedWorkerPanic(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		inj := faultinject.New(1, faultinject.Fault{Kind: faultinject.KindPanic, After: 3})
 		m := stressModels()["knapsack30"]()
 		done := make(chan error, 1)
 		go func() {
-			_, err := Solve(m, &Options{Workers: workers, Inject: inj})
+			_, err := Solve(m, &Options{Workers: workers, Inject: inj, disableCuts: true})
 			done <- err
 		}()
 		select {

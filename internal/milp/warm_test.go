@@ -73,10 +73,11 @@ func TestReuseBasisIgnored(t *testing.T) {
 // TestWarmHitsRecorded: on a model that genuinely branches, warm starts
 // must actually engage — warm_hits > 0 in the folded metrics — with
 // the folded pivot total reconciling with the solution's iterations.
+// Root cuts are off: they close seed 11 at the root.
 func TestWarmHitsRecorded(t *testing.T) {
 	m := randomObsModel(rand.New(rand.NewSource(11)))
 	met := obs.NewMetrics()
-	sol, err := Solve(m, &Options{Workers: 1, Metrics: met})
+	sol, err := Solve(m, &Options{Workers: 1, Metrics: met, disableCuts: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +129,11 @@ func TestGapZeroOptimum(t *testing.T) {
 	y := m.AddBinary("y", -1)
 	m.AddContinuous("c", 1, 1, 1)
 	m.AddRow("cap", []lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 1.5)
-	// Presolve would round the ≤1.5 row down to ≤1 and solve at the
-	// root; disable it so the zero-incumbent gap test actually
-	// exercises the branching loop's gap computation.
-	sol, err := Solve(m, &Options{Workers: 1, disablePresolve: true})
+	// Presolve would round the ≤1.5 row down to ≤1, and root cuts
+	// would close the gap too; either solves it at the root. Disable
+	// both so the zero-incumbent gap test actually exercises the
+	// branching loop's gap computation.
+	sol, err := Solve(m, &Options{Workers: 1, disablePresolve: true, disableCuts: true})
 	if err != nil {
 		t.Fatal(err)
 	}

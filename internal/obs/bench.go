@@ -59,14 +59,16 @@ type BenchScenario struct {
 	EtaUpdates       int64   `json:"eta_updates,omitempty"`
 	PricedCandidates int64   `json:"priced_candidates,omitempty"`
 	RefactorDriftMax float64 `json:"refactor_drift_max,omitempty"`
-	// CutsEnabled marks a solve that ran root-node cut separation
-	// (milp.Options.Cuts); the companion baseline scenario shares the
-	// name minus the "+cuts" suffix. CutsSeparated counts cuts accepted
-	// into the root LP across all rounds, CutsActive the non-retired
-	// ones handed to the tree search. Every separated cut was
-	// re-verified against the solve's stash of known feasible points
-	// (internal/certify.CheckCut) — a bench artifact with these fields
-	// nonzero is also a record that zero cuts were rejected.
+	// CutsEnabled is historical: it marked the "+cuts" rows of BENCH
+	// files written while root cuts were opt-in, each paired with a
+	// cuts-off row of the same name minus the suffix. Every solve cuts
+	// now and nothing writes it; it stays so those files still parse
+	// under the strict (unknown-field) read. CutsSeparated counts cuts
+	// accepted into the root LP across all rounds, CutsActive the
+	// non-retired ones handed to the tree search. Every separated cut
+	// was re-verified against the solve's stash of known feasible
+	// points (internal/certify.CheckCut) — a bench artifact with these
+	// fields nonzero is also a record that zero cuts were rejected.
 	CutsEnabled   bool  `json:"cuts,omitempty"`
 	CutsSeparated int64 `json:"cuts_separated,omitempty"`
 	CutsActive    int64 `json:"cuts_active,omitempty"`

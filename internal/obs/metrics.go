@@ -57,10 +57,11 @@ const (
 	// 1-based worker; the per-worker counters sum to MetricMILPNodes.
 	MetricMILPNodesWorkerPrefix = "milp.nodes.worker."
 
-	// Root cutting planes (opt-in and root-sequential). CutsSeparated
-	// counts cuts accepted into the pool across all root rounds,
-	// CutsActive the cuts still live (not retired by activity aging) in
-	// the model handed to the tree search.
+	// Root cutting planes (root-sequential; both keys are absent when
+	// the root separated nothing). CutsSeparated counts cuts accepted
+	// into the pool across all root rounds, CutsActive the cuts still
+	// live (not retired by activity aging) in the model handed to the
+	// tree search.
 	MetricMILPCutsSeparated = "milp.cuts_separated"
 	MetricMILPCutsActive    = "milp.cuts_active"
 

@@ -33,10 +33,11 @@ func testState(t *testing.T) *model.AsIsState {
 }
 
 // tightState is a deliberately capacity-tight instance whose LP
-// relaxation is fractional (three 10-server groups all prefer the
-// 25-server cheap site), so the exact stage genuinely branches — the
-// only way the node-claim (panic) and budget-check (deadline) fault
-// sites ever fire. The enterprise1 smoke dataset solves integrally at
+// relaxation is fractional (six groups of 51 servers in all compete for
+// two 21-server cheap sites), so the exact stage genuinely branches —
+// the only way the node-claim (panic) and budget-check (deadline) fault
+// sites ever fire. The root cuts do not close it in any of the batch's
+// sampled scenarios. The enterprise1 smoke dataset solves integrally at
 // the root and would exercise neither.
 func tightState(t *testing.T) *model.AsIsState {
 	t.Helper()
@@ -54,9 +55,12 @@ func tightState(t *testing.T) *model.AsIsState {
 	s := &model.AsIsState{
 		Name: "tight",
 		Groups: []model.AppGroup{
-			{ID: "g1", Servers: 10, DataMbPerMonth: 900, UsersByLocation: []int{40, 10}, CurrentDC: "old"},
-			{ID: "g2", Servers: 10, DataMbPerMonth: 700, UsersByLocation: []int{10, 40}, CurrentDC: "old"},
-			{ID: "g3", Servers: 10, DataMbPerMonth: 500, UsersByLocation: []int{25, 25}, CurrentDC: "old"},
+			{ID: "g1", Servers: 11, DataMbPerMonth: 596, UsersByLocation: []int{27, 23}, CurrentDC: "old"},
+			{ID: "g2", Servers: 7, DataMbPerMonth: 579, UsersByLocation: []int{27, 23}, CurrentDC: "old"},
+			{ID: "g3", Servers: 8, DataMbPerMonth: 944, UsersByLocation: []int{47, 3}, CurrentDC: "old"},
+			{ID: "g4", Servers: 5, DataMbPerMonth: 710, UsersByLocation: []int{36, 14}, CurrentDC: "old"},
+			{ID: "g5", Servers: 14, DataMbPerMonth: 606, UsersByLocation: []int{17, 33}, CurrentDC: "old"},
+			{ID: "g6", Servers: 6, DataMbPerMonth: 978, UsersByLocation: []int{44, 6}, CurrentDC: "old"},
 		},
 		UserLocations: []geo.Location{{ID: "u0"}, {ID: "u1"}},
 		Current: model.Estate{
@@ -65,10 +69,11 @@ func tightState(t *testing.T) *model.AsIsState {
 		},
 		Target: model.Estate{
 			DCs: []model.DataCenter{
-				mkDC("cheap", 25, 40, 0.04, 4500, 0.008),
+				mkDC("cheap1", 21, 52, 0.06, 4043, 0.006),
+				mkDC("cheap2", 21, 37, 0.07, 4612, 0.005),
 				mkDC("dear", 100, 180, 0.18, 9000, 0.04),
 			},
-			LatencyMs: [][]float64{{8, 20}, {20, 8}},
+			LatencyMs: [][]float64{{7, 19, 20}, {6, 12, 20}},
 		},
 		Params: model.DefaultParams(),
 	}

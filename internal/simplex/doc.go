@@ -21,11 +21,12 @@
 //   - Between factorizations, each basis exchange appends a product-form
 //     eta vector instead of refactorizing: FTRAN applies B₀⁻¹ then the
 //     eta file forward, BTRAN applies the eta file in reverse then B₀⁻ᵀ.
-//   - The factorization is rebuilt when the eta file reaches
-//     Options.RefactorEvery (default 64) updates, when the periodic drift
-//     check finds the relative primal residual ‖b−A·x‖∞ above tol.Drift,
-//     or when a pivot column's eligible entries all fall below tol.Pivot
-//     (stale-factorization recovery).
+//   - The factorization is rebuilt when the eta file reaches 64
+//     updates (Options.refactorEvery, which only this package's tests
+//     change), when the periodic drift check finds the relative primal
+//     residual ‖b−A·x‖∞ above tol.Drift, or when a pivot column's
+//     eligible entries all fall below tol.Pivot (stale-factorization
+//     recovery).
 //
 // Pricing is devex with partial candidate scans: reduced costs are
 // maintained across pivots (exactness tracked explicitly, and every

@@ -216,7 +216,7 @@ func TestRefactorAfterKEtasEquivalence(t *testing.T) {
 		m := randomLP(rng, 1+rng.Intn(12), 1+rng.Intn(8))
 		var ref *lp.Solution
 		for _, every := range caps {
-			sol, err := Solve(m, &Options{RefactorEvery: every})
+			sol, err := Solve(m, &Options{refactorEvery: every})
 			if err != nil {
 				t.Fatalf("trial %d cap %d: %v", trial, every, err)
 			}

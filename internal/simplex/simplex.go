@@ -39,12 +39,13 @@ type Options struct {
 	// after each solve — the hot loop only increments local integers,
 	// keeping the armed overhead far under the 2% pivot-loop budget.
 	Metrics *obs.Metrics
-	// RefactorEvery caps the eta-file length: after this many basis
+	// refactorEvery caps the eta-file length: after this many basis
 	// updates since the last factorization the basis is refactorized,
 	// collapsing accumulated floating-point error and keeping
 	// FTRAN/BTRAN cost bounded. Default 64. The drift guard (tol.Drift)
-	// can force an earlier refactorization.
-	RefactorEvery int
+	// can force an earlier refactorization. Only this package's tests
+	// set it, to show the policy is invisible in the results.
+	refactorEvery int
 }
 
 // stallLimit is the number of consecutive degenerate pivots tolerated
@@ -59,8 +60,8 @@ func (o *Options) withDefaults(rows int) Options {
 	if out.MaxIters <= 0 {
 		out.MaxIters = 50000 + 100*rows
 	}
-	if out.RefactorEvery <= 0 {
-		out.RefactorEvery = 64
+	if out.refactorEvery <= 0 {
+		out.refactorEvery = 64
 	}
 	return out
 }

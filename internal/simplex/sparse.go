@@ -80,7 +80,7 @@ func (t *tableau) iterate() (lp.Status, error) {
 		}
 		// Eta-file cap: collapse the update chain into a fresh LU before
 		// FTRAN/BTRAN cost and accumulated error outgrow the factors.
-		if t.la.etas.count() >= t.opts.RefactorEvery {
+		if t.la.etas.count() >= t.opts.refactorEvery {
 			if err := t.refactorize(); err != nil {
 				return 0, err
 			}

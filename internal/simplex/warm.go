@@ -296,7 +296,7 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 		// Restoration can run past the eta-file cap; collapse the file on
 		// the same trigger the pivot loop uses. A singular basis
 		// mid-restore means the snapshot went stale.
-		if t.la.etas.count() >= t.opts.RefactorEvery {
+		if t.la.etas.count() >= t.opts.refactorEvery {
 			if err := t.refactorize(); err != nil {
 				return restoreStale, nil
 			}

@@ -8,11 +8,12 @@
 #   docs/benchmarks/BENCH_<n>.json      machine-readable: schema
 #                                       etransform-bench/v1 (obs.BenchReport),
 #                                       one record per case-study solve,
-#                                       each dataset solved with the
-#                                       default options and again with
-#                                       root cuts only (the "+cuts"
-#                                       scenarios; BENCH_7 and earlier
-#                                       ran kernel search there too).
+#                                       each dataset solved once with
+#                                       the default options (root cuts
+#                                       included). The "+warm" and
+#                                       "+cuts" records of BENCH_5-7 are
+#                                       historical re-solves from when
+#                                       those features were opt-in.
 #                                       <n> is one past the highest
 #                                       BENCH_*.json already checked in,
 #                                       so each PR's run lands in a fresh

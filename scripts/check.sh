@@ -45,10 +45,12 @@
 #                  suite (no separated cut may eliminate an enumerated
 #                  integer-feasible point) plus a short fuzz pass over
 #                  both separators
-#  12. cut determinism smoke: one -cuts planner solve at -workers 1
-#                  and 4 must produce the identical plan cost block (cuts
-#                  run in the sequential root phase, so worker count must
-#                  not leak into the answer)
+#  12. worker determinism smoke: the default planner solve at -workers
+#                  1 and 4, without and with -dr, must produce the
+#                  identical plan cost block (root cuts run in the
+#                  sequential root phase, so worker count must not leak
+#                  into the answer); at -gap 1e-4 the -dr solve must
+#                  separate cuts and branch, or the stage checks nothing
 #  13. etserve smoke: boot the planning daemon on a random port, submit
 #                  the smoke state over HTTP, poll to done, fetch the
 #                  plan and compare it to the etransform CLI's plan for
@@ -195,22 +197,30 @@ go test -run 'TestCutValiditySmoke16|TestCoverDegenerateRows' ./internal/milp/cu
 go test -run '^$' -fuzz FuzzGomoryRow -fuzztime 5s ./internal/milp/cuts
 go test -run '^$' -fuzz FuzzCoverSeparation -fuzztime 5s ./internal/milp/cuts
 
-echo "==> cut determinism smoke (-workers 1 vs 4)"
-# Cuts run in the sequential root phase, so the certified plan — in
+echo "==> worker determinism smoke (-workers 1 vs 4, without and with -dr)"
+# Root cuts run in the sequential root phase, so the certified plan — in
 # particular its full cost breakdown — must be identical at any worker
-# count.
-"$SMOKE_DIR/etransform" -state "$SMOKE_DIR/asis.json" -report=false \
-    -cuts -workers 1 -plan "$SMOKE_DIR/plan_w1.json" > /dev/null
-"$SMOKE_DIR/etransform" -state "$SMOKE_DIR/asis.json" -report=false \
-    -cuts -workers 4 -plan "$SMOKE_DIR/plan_w4.json" > /dev/null
-jq .cost "$SMOKE_DIR/plan_w1.json" > "$SMOKE_DIR/cost_w1.json"
-jq .cost "$SMOKE_DIR/plan_w4.json" > "$SMOKE_DIR/cost_w4.json"
-if ! cmp -s "$SMOKE_DIR/cost_w1.json" "$SMOKE_DIR/cost_w4.json"; then
-    echo "cuts plan cost differs across -workers values:" >&2
-    diff "$SMOKE_DIR/cost_w1.json" "$SMOKE_DIR/cost_w4.json" >&2 || true
+# count. At the default -gap 1e-3 the smoke state's -dr solve closes at
+# the root without a cut; -gap 1e-4 makes it cut and branch.
+for dr in "" "-dr"; do
+    for w in 1 4; do
+        "$SMOKE_DIR/etransform" -state "$SMOKE_DIR/asis.json" -report=false \
+            $dr -gap 1e-4 -workers "$w" -plan "$SMOKE_DIR/plan_w$w.json" \
+            -metrics "$SMOKE_DIR/metrics_w$w.json" > /dev/null
+        jq .cost "$SMOKE_DIR/plan_w$w.json" > "$SMOKE_DIR/cost_w$w.json"
+    done
+    if ! cmp -s "$SMOKE_DIR/cost_w1.json" "$SMOKE_DIR/cost_w4.json"; then
+        echo "${dr:-non-DR} plan cost differs across -workers values:" >&2
+        diff "$SMOKE_DIR/cost_w1.json" "$SMOKE_DIR/cost_w4.json" >&2 || true
+        exit 1
+    fi
+done
+if ! jq -e '.counters["milp.cuts_separated"] > 0 and .counters["milp.nodes"] > 0' \
+    "$SMOKE_DIR/metrics_w1.json" > /dev/null; then
+    echo "the -dr smoke solve no longer cuts and branches" >&2
     exit 1
 fi
-echo "    cuts plan cost identical at -workers 1 vs 4"
+echo "    plan cost identical at -workers 1 vs 4, without and with -dr"
 
 echo "==> etserve service smoke (submit -> poll -> plan parity + cache hit)"
 go build -o "$SMOKE_DIR/etserve" ./cmd/etserve
