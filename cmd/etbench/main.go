@@ -40,7 +40,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"github.com/etransform/etransform/internal/datagen"
@@ -205,24 +204,19 @@ func run(args []string) error {
 				cfgs = append(cfgs, cfg)
 			}
 		}
-		// Solve the datasets concurrently; render in the fixed order.
+		// Solve the datasets on -sweep-workers goroutines and render them
+		// in the fixed order; the smallest-index error wins.
 		results := make([]*experiments.CaseStudyResult, len(cfgs))
-		errs := make([]error, len(cfgs))
-		var wg sync.WaitGroup
-		for i := range cfgs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				scCold := sc
-				scCold.CollectMetrics = *jsonOut != ""
-				results[i], errs[i] = experiments.CaseStudy(cfgs[i], scCold, dr)
-			}(i)
+		scCold := sc
+		scCold.CollectMetrics = *jsonOut != ""
+		if err := experiments.ForEach(len(cfgs), sc.SweepWorkers, func(i int) error {
+			var err error
+			results[i], err = experiments.CaseStudy(cfgs[i], scCold, dr)
+			return err
+		}); err != nil {
+			return err
 		}
-		wg.Wait()
 		for i, cfg := range cfgs {
-			if errs[i] != nil {
-				return errs[i]
-			}
 			res := results[i]
 			fmt.Print(res.Render())
 			fmt.Printf("solver: %d rows × %d cols, %d nodes, gap %.2g, %d workers, wall %dms (busy %dms)\n\n",

@@ -574,7 +574,7 @@ func (b *builder) decode(sol *lp.Solution) (*model.Plan, error) {
 			Nonzeros:    b.m.NumNonzeros(),
 			Iterations:  sol.Iterations,
 			Nodes:       sol.Nodes,
-			Gap:         jsonSafeGap(sol.Gap),
+			Gap:         lp.JSONSafeGap(sol.Gap),
 			CandidatesK: b.candidateK,
 			Aggregated:  true,
 

@@ -33,6 +33,11 @@
 //     the same economics the reports print.
 //   - Candidate pruning (Options.CandidateK) is transparent: a pruned
 //     model that turns out infeasible is automatically retried unpruned.
+//   - A failed exact solve degrades, never crashes (fallback.go): it is
+//     retried once, then replaced by LP-relaxation rounding, then by the
+//     cheapest warm start that certifies (the seed plan or an LP-free
+//     heuristic point, warm.go), and the plan says which stage made it
+//     in Plan.Stats.Degradation.
 //
 // # Goroutine safety
 //

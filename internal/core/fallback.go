@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/etransform/etransform/internal/baseline"
 	"github.com/etransform/etransform/internal/certify"
 	"github.com/etransform/etransform/internal/lp"
 	"github.com/etransform/etransform/internal/milp"
@@ -23,9 +22,10 @@ import (
 //	stage 1  exact branch & bound, with one retry on a perturbed
 //	         branching order under Bland's pivoting rule;
 //	stage 2  LP-relaxation rounding with greedy repair;
-//	stage 3  the greedy baseline (internal/baseline), falling back to the
-//	         cheapest LP-free heuristic point (warm.go) when pins,
-//	         forbidden sites or pruned columns defeat the plain baseline.
+//	stage 3  the cheapest warm start that certifies: the seed plan or an
+//	         LP-free heuristic point (warm.go), all encoded before
+//	         stage 1, so the last stage neither solves an LP nor runs
+//	         the heuristic again.
 //
 // Every stage's product — including the exact solver's — passes through
 // internal/certify before it is decoded, so no stage can ship an
@@ -41,18 +41,13 @@ import (
 // counts land elsewhere on the retry trajectory.
 const retrySeed = 7919
 
-// unknownGap is the JSON-safe sentinel recorded when a fallback stage
-// delivers a plan without any dual bound (an honest +Inf gap would not
-// survive encoding/json).
-const unknownGap = -1
-
 // solvePipeline runs the chain for one candidate-pruning level.
 func (p *Planner) solvePipeline(ctx context.Context, candidateK int) (*model.Plan, error) {
 	b, err := p.build(candidateK)
 	if err != nil {
 		return nil, err
 	}
-	report := &lp.DegradationReport{Gap: unknownGap}
+	report := &lp.DegradationReport{Gap: lp.UnknownGap}
 	warm := b.warmStarts()
 	if x, ok := b.seedPoint(); ok {
 		// A registered previous plan outranks the heuristic candidates:
@@ -171,59 +166,40 @@ func (p *Planner) solvePipeline(ctx context.Context, candidateK int) (*model.Pla
 		report.Stage = lp.StageExact
 		report.StageIndex = 1
 		report.Limit = sol.Limit
-		report.Gap = sol.Gap
-		if math.IsInf(sol.Gap, 1) {
-			report.Gap = unknownGap
-		}
+		report.Gap = lp.JSONSafeGap(sol.Gap)
 		report.Reason = degradeReason(sol)
 		plan.Stats.Degradation = report
 		return plan, nil
 	}
 
-	// Stage 2: LP-relaxation rounding with greedy repair.
-	t0 := time.Now()
-	end := span(lp.StageRounding, 1, t0)
-	plan, err := b.lpRoundingPlan(ctx, p.stageDeadline())
-	if err == nil {
-		end("ok", "")
-		report.Attempts = append(report.Attempts, lp.StageAttempt{
-			Stage: lp.StageRounding, Attempt: 1, Outcome: "ok",
-			Millis: time.Since(t0).Milliseconds(),
-		})
-		return p.degradedPlan(plan, report, lp.StageRounding, 2, firstErr), nil
+	// Stages 2 and 3 share one attempt loop: LP-relaxation rounding with
+	// greedy repair, then the cheapest warm start that certifies.
+	fallbacks := []struct {
+		stage string
+		run   func() (*model.Plan, error)
+	}{
+		{lp.StageRounding, func() (*model.Plan, error) { return b.lpRoundingPlan(ctx, p.stageDeadline()) }},
+		{lp.StageGreedy, func() (*model.Plan, error) { return b.cheapestWarmPlan(warm) }},
 	}
-	end("failed", err.Error())
-	fail(lp.StageRounding, 1, t0, err)
-	if ctx.Err() != nil {
-		return nil, fmt.Errorf("core: solving %s: %w", b.m.Name, ctx.Err())
+	for k, f := range fallbacks {
+		t0 := time.Now()
+		end := span(f.stage, 1, t0)
+		plan, err := f.run()
+		if err == nil {
+			end("ok", "")
+			report.Attempts = append(report.Attempts, lp.StageAttempt{
+				Stage: f.stage, Attempt: 1, Outcome: "ok",
+				Millis: time.Since(t0).Milliseconds(),
+			})
+			return p.degradedPlan(plan, report, f.stage, k+2, firstErr), nil
+		}
+		end("failed", err.Error())
+		fail(f.stage, 1, t0, err)
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("core: solving %s: %w", b.m.Name, ctx.Err())
+		}
 	}
-
-	// Stage 3: greedy baseline.
-	t0 = time.Now()
-	end = span(lp.StageGreedy, 1, t0)
-	plan, err = b.greedyPlan()
-	if err == nil {
-		end("ok", "")
-		report.Attempts = append(report.Attempts, lp.StageAttempt{
-			Stage: lp.StageGreedy, Attempt: 1, Outcome: "ok",
-			Millis: time.Since(t0).Milliseconds(),
-		})
-		return p.degradedPlan(plan, report, lp.StageGreedy, 3, firstErr), nil
-	}
-	end("failed", err.Error())
-	fail(lp.StageGreedy, 1, t0, err)
-
 	return nil, fmt.Errorf("core: all solve stages failed (exact, lp-rounding, greedy); first failure: %w", firstErr)
-}
-
-// jsonSafeGap maps an infinite gap (a surrendered incumbent with no
-// proven bound) to the unknown sentinel, so plans always survive
-// encoding/json.
-func jsonSafeGap(gap float64) float64 {
-	if math.IsInf(gap, 0) || math.IsNaN(gap) {
-		return unknownGap
-	}
-	return gap
 }
 
 // degradedPlan attaches the degradation report to a fallback-produced
@@ -232,7 +208,7 @@ func (p *Planner) degradedPlan(plan *model.Plan, report *lp.DegradationReport, s
 	report.Degraded = true
 	report.Stage = stage
 	report.StageIndex = index
-	report.Gap = unknownGap
+	report.Gap = lp.UnknownGap
 	report.Reason = fmt.Sprintf("exact MILP stage failed (%v); plan produced by the %s fallback", cause, stage)
 	plan.Stats.Degradation = report
 	return plan
@@ -288,15 +264,35 @@ func (b *builder) finishSolution(sol *lp.Solution) (*model.Plan, error) {
 }
 
 // planFromPoint encodes a concrete (placement, secondary) assignment as
-// a full MILP point, certifies it, and decodes the plan. The synthetic
-// solution carries no dual bound, so Gap uses the unknown sentinel.
+// a full MILP point and hands it to planFromX.
 func (b *builder) planFromPoint(placement, secondary []int) (*model.Plan, error) {
 	x, ok := b.encodePoint(placement, secondary)
 	if !ok {
 		return nil, fmt.Errorf("core: assignment for %s needs a column pruned out of the model", b.m.Name)
 	}
-	sol := &lp.Solution{Status: lp.StatusFeasible, X: x, Objective: b.m.Objective(x), Gap: unknownGap}
+	return b.planFromX(x)
+}
+
+// planFromX certifies a full MILP point and decodes the plan. The
+// synthetic solution carries no dual bound, so Gap is unknown.
+func (b *builder) planFromX(x []float64) (*model.Plan, error) {
+	sol := &lp.Solution{Status: lp.StatusFeasible, X: x, Objective: b.m.Objective(x), Gap: lp.UnknownGap}
 	return b.finishSolution(sol)
+}
+
+// cheapestWarmPlan is stage 3: the cheapest of the warm starts (the
+// seed plan and the heuristic points) that certifies. It solves no LP,
+// so it stands when every simplex result is untrustworthy.
+func (b *builder) cheapestWarmPlan(warm [][]float64) (*model.Plan, error) {
+	err := fmt.Errorf("core: the LP-free heuristics found no feasible assignment")
+	for _, i := range sortedIndices(len(warm), func(i int) float64 { return b.m.Objective(warm[i]) }) {
+		plan, perr := b.planFromX(warm[i])
+		if perr == nil {
+			return plan, nil
+		}
+		err = perr
+	}
+	return nil, err
 }
 
 // lpRoundingPlan is stage 2: solve the continuous relaxation, round each
@@ -416,62 +412,6 @@ func (b *builder) roundedPlacement(x []float64) (placement, secondary []int, ok 
 		secondary[i] = best
 	}
 	if !b.repairPools(placement, secondary) {
-		return nil, nil, false
-	}
-	return placement, secondary, true
-}
-
-// greedyPlan is stage 3: the paper's greedy baseline (§VI-B) first,
-// certified like everything else, else the cheapest LP-free heuristic
-// point (heuristicPoints), which honours the pins, forbidden sites and
-// pruned columns that defeat the plain baseline.
-func (b *builder) greedyPlan() (*model.Plan, error) {
-	if placement, secondary, ok := b.baselineGreedyPoint(); ok {
-		if plan, err := b.planFromPoint(placement, secondary); err == nil {
-			return plan, nil
-		}
-	}
-	pts := b.heuristicPoints()
-	if len(pts) == 0 {
-		return nil, fmt.Errorf("core: the LP-free heuristics found no feasible assignment")
-	}
-	return b.planFromPoint(pts[0].placement, pts[0].secondary)
-}
-
-// baselineGreedyPoint runs the plain greedy baseline (§VI-B) and maps
-// its plan onto model indices. The baseline knows nothing of pins,
-// forbidden sites or pruned columns, so the point is pre-screened
-// against the builder's feasibility predicates before certification.
-func (b *builder) baselineGreedyPoint() ([]int, []int, bool) {
-	s := b.s
-	plan, err := baseline.Greedy(s, baseline.GreedyOptions{DR: b.p.opts.DR})
-	if err != nil {
-		return nil, nil, false
-	}
-	placement := make([]int, len(s.Groups))
-	var secondary []int
-	if b.p.opts.DR {
-		secondary = make([]int, len(s.Groups))
-	}
-	for i := range s.Groups {
-		a := plan.AssignmentFor(s.Groups[i].ID)
-		if a == nil {
-			return nil, nil, false
-		}
-		j := s.Target.DCIndex(a.PrimaryDC)
-		if j < 0 || !b.primaryAvailable(i, j) {
-			return nil, nil, false
-		}
-		placement[i] = j
-		if secondary != nil {
-			sj := s.Target.DCIndex(a.SecondaryDC)
-			if sj < 0 || sj == j || !b.feasibleSecondary(&s.Groups[i], sj) || !b.hasColumn(i, j, sj) {
-				return nil, nil, false
-			}
-			secondary[i] = sj
-		}
-	}
-	if secondary != nil && !b.repairPools(placement, secondary) {
 		return nil, nil, false
 	}
 	return placement, secondary, true

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -157,23 +156,15 @@ func (p *Planner) SeedPlan(prev *model.Plan) error {
 }
 
 // BuildModel constructs the MILP without solving it, for inspection or
-// export through WriteLP.
+// export: the model's WriteLP writes it in CPLEX LP format, the same
+// interchange the paper's transformation module hands to its
+// optimization engine.
 func (p *Planner) BuildModel() (*lp.Model, error) {
 	b, err := p.build(p.opts.CandidateK)
 	if err != nil {
 		return nil, err
 	}
 	return b.m, nil
-}
-
-// WriteLP exports the MILP in CPLEX LP format — the same interchange the
-// paper's transformation module hands to its optimization engine.
-func (p *Planner) WriteLP(w io.Writer) error {
-	m, err := p.BuildModel()
-	if err != nil {
-		return err
-	}
-	return m.WriteLP(w)
 }
 
 // Solve builds the MILP, solves it, and decodes the to-be plan. The
@@ -192,9 +183,10 @@ func (p *Planner) Solve() (*model.Plan, error) {
 // Solves run through the resilient pipeline (see fallback.go): when the
 // exact MILP stage fails — a solver error, a corrupted result that fails
 // certification — it is retried once on a perturbed trajectory and then
-// replaced by the LP-rounding and greedy fallback stages. Plans produced
-// by anything other than a clean first-attempt exact solve carry a
-// machine-readable report in Plan.Stats.Degradation.
+// replaced by the LP-rounding fallback and, last, by the cheapest warm
+// start that certifies. Plans produced by anything other than a clean
+// first-attempt exact solve carry a machine-readable report in
+// Plan.Stats.Degradation.
 func (p *Planner) SolveContext(ctx context.Context) (*model.Plan, error) {
 	if ctx == nil {
 		ctx = context.Background()

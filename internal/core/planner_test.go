@@ -341,8 +341,12 @@ func TestWriteLPAndExternalSolveAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := p.BuildModel()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := p.WriteLP(&buf); err != nil {
+	if err := m.WriteLP(&buf); err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := lp.ParseLP(bytes.NewReader(buf.Bytes()))

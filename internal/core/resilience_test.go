@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"github.com/etransform/etransform/internal/lp"
 	"github.com/etransform/etransform/internal/model"
 	"github.com/etransform/etransform/internal/resilience/faultinject"
+	"github.com/etransform/etransform/internal/tol"
 )
 
 // TestCleanSolveCarriesNoDegradation: the fault-free path must be
@@ -124,10 +126,10 @@ func TestFallbackCascadesToGreedy(t *testing.T) {
 	}
 }
 
-// TestGreedyStageHonoursPins: a pin the greedy baseline ignores sends
-// stage 3 to the cheapest LP-free heuristic point, which must honour the
-// pin and, under DR, give every group a distinct secondary and a backup
-// pool.
+// TestGreedyStageHonoursPins: the pin moves group 0 off the site the
+// §VI-B greedy baseline (baseline.Greedy) gives it, and stage 3's plan,
+// the cheapest warm start, must honour the pin and, under DR, give every
+// group a distinct secondary and a backup pool.
 func TestGreedyStageHonoursPins(t *testing.T) {
 	for _, dr := range []bool{false, true} {
 		for seed := int64(1); seed <= 20; seed++ {
@@ -182,6 +184,47 @@ func TestGreedyStageHonoursPins(t *testing.T) {
 					t.Error("DR greedy-stage plan has no backup pools")
 				}
 			})
+		}
+	}
+}
+
+// TestGreedyStageReturnsCheapestWarmStart: with every simplex result
+// corrupted, stage 3 must deliver a plan as cheap as the cheapest warm
+// start the MILP accepts, on random estates with and without DR.
+func TestGreedyStageReturnsCheapestWarmStart(t *testing.T) {
+	shapes := [][3]int{{8, 3, 2}, {12, 4, 3}, {20, 6, 3}}
+	for _, dr := range []bool{false, true} {
+		for _, sh := range shapes {
+			for seed := int64(1); seed <= 10; seed++ {
+				s := randomState(rand.New(rand.NewSource(seed)), sh[0], sh[1], sh[2], dr)
+				opts := Options{DR: dr}
+				opts.Solver.Simplex.Inject = faultinject.New(1, faultinject.Fault{Kind: faultinject.KindCorrupt, Count: -1})
+				p, err := New(s, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := p.build(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cheapest := math.Inf(1)
+				for _, x := range b.warmStarts() {
+					if b.m.CheckFeasible(x, tol.Accept) == nil {
+						cheapest = math.Min(cheapest, b.m.Objective(x))
+					}
+				}
+				plan, err := p.Solve()
+				if err != nil {
+					t.Fatalf("dr=%v shape %v seed %d: %v", dr, sh, seed, err)
+				}
+				if d := plan.Stats.Degradation; d == nil || d.Stage != lp.StageGreedy || d.StageIndex != 3 {
+					t.Fatalf("dr=%v shape %v seed %d: degradation = %+v, want greedy/3", dr, sh, seed, d)
+				}
+				if got := plan.Cost.Total(); math.Abs(got-cheapest) > 1e-6*math.Max(1, cheapest) {
+					t.Errorf("dr=%v shape %v seed %d: stage-3 plan costs %.2f, cheapest warm start %.2f",
+						dr, sh, seed, got, cheapest)
+				}
+			}
 		}
 	}
 }

@@ -16,8 +16,9 @@ import (
 // actually takes — primaries spread over the k cheapest sites with the
 // secondaries routed to a common pool site — for every k, and polishes
 // the cheapest construction with local search. The same points seed the
-// exact search (warmStarts) and back the last fallback stage
-// (greedyPlan).
+// exact search (warmStarts) and, already encoded, are what the last
+// fallback stage certifies: it returns the cheapest of them
+// (cheapestWarmPlan).
 
 // heuristicPoint is one concrete assignment: a primary site per group
 // and, under DR, a secondary site per group (nil otherwise).

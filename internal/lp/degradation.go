@@ -1,5 +1,7 @@
 package lp
 
+import "math"
+
 // Limit names, recorded in Solution.Limit when a budget dimension ends a
 // search before optimality is proven. This is the single authoritative
 // set: Solution.Limit and DegradationReport.Limit speak these strings
@@ -30,7 +32,8 @@ func Limits() []string {
 //
 //   - StatusIterLimit pairs with LimitIterations or LimitWallClock (a
 //     simplex solve stopped by its own iteration budget or deadline,
-//     possibly passed through by branch & bound from the root LP);
+//     possibly passed through by branch & bound from a root LP that
+//     stopped before any incumbent existed);
 //   - StatusNodeLimit pairs with exactly one of the four dimensions
 //     (branch & bound's graceful budget stop always names what tripped,
 //     including a node LP's iteration limit surrendered solve-wide);
@@ -92,14 +95,31 @@ type DegradationReport struct {
 	// when no limit tripped.
 	Limit string `json:"limit,omitempty"`
 	// Gap is the certified relative optimality gap of the delivered
-	// plan, +Inf encoded as -1 when no bound is known (fallback stages
-	// prove no bound).
+	// plan, UnknownGap when no bound is known (fallback stages prove no
+	// bound).
 	Gap float64 `json:"gap"`
 	// Attempts is the full attempt log across all stages, in order.
 	Attempts []StageAttempt `json:"attempts,omitempty"`
 }
 
-// Chain stage names.
+// UnknownGap is the JSON-safe encoding of an unknown relative gap: the
+// +Inf of a solve that proved no bound would not survive encoding/json,
+// so plans, degradation reports and trace events record −1 instead.
+const UnknownGap = -1
+
+// JSONSafeGap maps an infinite or NaN gap to UnknownGap and passes every
+// other gap through.
+func JSONSafeGap(gap float64) float64 {
+	if math.IsInf(gap, 0) || math.IsNaN(gap) {
+		return UnknownGap
+	}
+	return gap
+}
+
+// Chain stage names, in chain order: the exact branch & bound, the
+// rounding of its LP relaxation, and the LP-free last stage, which
+// returns the cheapest warm start (a seed plan or a greedy heuristic
+// point) that certifies.
 const (
 	StageExact    = "exact-milp"
 	StageRounding = "lp-rounding"

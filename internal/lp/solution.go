@@ -85,8 +85,9 @@ type Solution struct {
 	// reachable (Status, Limit) combinations are exactly the ones
 	// ValidLimit accepts: simplex solves stop with StatusIterLimit and
 	// LimitIterations or LimitWallClock; branch & bound stops with
-	// StatusNodeLimit and any of the four dimensions, or passes a root
-	// LP's StatusIterLimit through unchanged.
+	// StatusNodeLimit and any of the four dimensions, or, with no
+	// incumbent to surrender, passes a root LP's StatusIterLimit through
+	// unchanged.
 	Limit string
 
 	// Concurrency statistics, populated by branch & bound solves

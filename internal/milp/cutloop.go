@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -120,7 +121,7 @@ func (c *coordinator) rootCuts(w0 *worker, root *lp.Solution) (*lp.Solution, err
 			return nil, fmt.Errorf("milp: appending root cuts: %w", err)
 		}
 		basis := w0.sx.Basis().ExtendRows(added)
-		sol, err := w0.sx.SolveFrom(next, basis)
+		sol, err := w0.sx.SolveFrom(context.Background(), next, basis)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/etransform/etransform/internal/lp"
+	"github.com/etransform/etransform/internal/resilience/faultinject"
 	"github.com/etransform/etransform/internal/tol"
 )
 
@@ -69,4 +70,44 @@ func TestReportedGapCoversTrueGap(t *testing.T) {
 		t.Fatal("every loose solve found the optimum; the property is vacuous")
 	}
 	t.Logf("%d of %d loose solves stopped short of the optimum", short, 2*seeds)
+}
+
+// TestNodeLPStallKeepsBound is the honest-gap property for a node LP
+// that stops at its iteration limit: the subtree under that node is
+// unexplored, so its bound must stay in the reported bound and the
+// solve must end at the limit, never as optimal. A persistent stall is
+// swept over every pivot of each solve (cuts and diving off, so the
+// tree is the only place it can land after the root). Seeds 18–22 hold
+// both failure modes of a bound taken after the node left flight:
+// seeds 18, 19, 21 and 22 end optimal with no limit at some
+// offsets, and seed 20 at offset 83 reports a gap of 0.00537 against a
+// true gap of 0.00638.
+func TestNodeLPStallKeepsBound(t *testing.T) {
+	base := Options{GapTol: 1e-12, Workers: 1, disableCuts: true, disableDiving: true}
+	inTree := 0
+	for seed := int64(18); seed <= 22; seed++ {
+		m := randomGapModel(rand.New(rand.NewSource(seed)))
+		clean := solveOrFatal(t, m, &base)
+		for after := 1; after <= clean.Iterations; after++ {
+			opts := base
+			inj := faultinject.New(1, faultinject.Fault{Kind: faultinject.KindStall, After: after, Count: -1})
+			opts.Inject = inj
+			sol := solveOrFatal(t, m, &opts)
+			if !inj.Fired(faultinject.KindStall) || sol.Status == lp.StatusIterLimit {
+				continue // the stall missed the solve or landed in the root LP
+			}
+			inTree++
+			if sol.Status != lp.StatusNodeLimit || sol.Limit != lp.LimitIterations {
+				t.Fatalf("seed %d stall at %d: (%v, %q), want (%v, %q)",
+					seed, after, sol.Status, sol.Limit, lp.StatusNodeLimit, lp.LimitIterations)
+			}
+			if trueGap := tol.RelGap(sol.Objective, clean.Objective); sol.Gap < trueGap-1e-12 {
+				t.Fatalf("seed %d stall at %d: reported gap %.3g below true gap %.3g",
+					seed, after, sol.Gap, trueGap)
+			}
+		}
+	}
+	if inTree == 0 {
+		t.Fatal("no stall landed in the tree; the property is vacuous")
+	}
 }

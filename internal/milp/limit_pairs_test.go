@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -79,8 +80,9 @@ func TestLimitPairMILPWallClock(t *testing.T) {
 	assertPair(t, sol, lp.StatusNodeLimit, lp.LimitWallClock)
 }
 
-// TestLimitPairMILPIterLimitPassthrough stalls the root LP itself: the
-// coordinator passes the simplex pair through unchanged.
+// TestLimitPairMILPIterLimitPassthrough stalls the root LP itself: with
+// no incumbent to surrender, the coordinator passes the simplex pair
+// through unchanged.
 func TestLimitPairMILPIterLimitPassthrough(t *testing.T) {
 	sol, err := Solve(limitKnapsack(), &Options{
 		GapTol: 1e-12, disableDiving: true, Workers: 1,
@@ -90,6 +92,29 @@ func TestLimitPairMILPIterLimitPassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPair(t, sol, lp.StatusIterLimit, lp.LimitIterations)
+}
+
+// TestRootStallSurrendersWarmStart stalls the root LP of a warm-started
+// solve: the incumbent accepted before the root is surrendered at the
+// iterations limit with an unknown gap, as a root wall-clock stop does,
+// rather than passed through as a solve with no point.
+func TestRootStallSurrendersWarmStart(t *testing.T) {
+	m := limitKnapsack()
+	zeros := make([]float64, m.NumVars())
+	sol, err := Solve(m, &Options{
+		GapTol: 1e-12, Workers: 1, WarmStarts: [][]float64{zeros},
+		Inject: faultinject.New(1, faultinject.Fault{Kind: faultinject.KindStall, Count: -1}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPair(t, sol, lp.StatusNodeLimit, lp.LimitIterations)
+	if sol.X == nil || m.Objective(sol.X) != 0 || sol.Objective != 0 {
+		t.Fatalf("solution %v (objective %v), want the all-zeros warm start", sol.X, sol.Objective)
+	}
+	if !math.IsInf(sol.Gap, 1) {
+		t.Errorf("gap %v, want +Inf: the stalled root proved no bound", sol.Gap)
+	}
 }
 
 // TestLimitPairMILPIterations stalls a *child* node LP (not the root):

@@ -316,7 +316,7 @@ func (w *worker) solveWith(changes []boundChange, basis *simplex.Basis) (*lp.Sol
 		}
 		w.work.SetBounds(ch.v, math.Max(ch.lo, v.Lower), math.Min(ch.hi, v.Upper))
 	}
-	sol, err := w.sx.SolveFrom(w.work, basis)
+	sol, err := w.sx.SolveFrom(context.Background(), w.work, basis)
 	for k := len(saved) - 1; k >= 0; k-- {
 		w.work.SetBounds(saved[k].v, saved[k].lo, saved[k].hi)
 	}
@@ -478,11 +478,24 @@ func (c *coordinator) commit(w *worker, sol *lp.Solution, err error, closed bool
 	defer c.mu.Unlock()
 	defer c.cond.Broadcast()
 	c.iterations += w.takeIterations()
-	c.flight[w.id] = math.Inf(1)
 	c.inFlight--
+	if !c.done && err == nil && sol.Status == lp.StatusIterLimit {
+		// The node LP ran out of its own budget (iterations, or the
+		// propagated wall deadline); surrender the incumbent gracefully.
+		// The node's subtree stays unexplored, so its bound is still in
+		// flight while the stop bound is taken: the monotone bound must
+		// not pass it first.
+		lim := sol.Limit
+		if lim == "" {
+			lim = lp.LimitIterations
+		}
+		c.stopLocked(lp.StatusNodeLimit, c.globalBoundLocked(), lim)
+	}
+	c.flight[w.id] = math.Inf(1)
 	if c.done {
-		// A terminal state was reached while we were solving; our result
-		// can no longer change it (stats are already folded above).
+		// A terminal state was reached while we were solving (or just
+		// now, by a node LP limit); our result can no longer change it
+		// (stats are already folded above).
 		return false
 	}
 	if err != nil {
@@ -492,15 +505,6 @@ func (c *coordinator) commit(w *worker, sol *lp.Solution, err error, closed bool
 	switch sol.Status {
 	case lp.StatusInfeasible:
 		return true
-	case lp.StatusIterLimit:
-		// The node LP ran out of its own budget (iterations, or the
-		// propagated wall deadline); surrender the incumbent gracefully.
-		lim := sol.Limit
-		if lim == "" {
-			lim = lp.LimitIterations
-		}
-		c.stopLocked(lp.StatusNodeLimit, c.globalBoundLocked(), lim)
-		return false
 	case lp.StatusUnbounded:
 		c.failLocked(fmt.Errorf("milp: child LP unbounded though root was bounded"))
 		return false
@@ -612,15 +616,16 @@ func (c *coordinator) solve() (*lp.Solution, error) {
 		return &lp.Solution{Status: root.Status, Iterations: c.iterations}, nil
 	case lp.StatusIterLimit:
 		w0.busy = time.Since(t0)
-		if root.Limit == lp.LimitWallClock {
-			// The solve-wide deadline expired inside the root LP itself.
-			// Map it to the same terminal state the between-node checks
-			// produce, so callers see one consistent deadline contract.
-			if c.deadlineIsCtx {
-				c.ctxErr = context.DeadlineExceeded
-				return c.canceledSolution([]*worker{w0}), c.ctxErr
-			}
-			c.limit = lp.LimitWallClock
+		if root.Limit == lp.LimitWallClock && c.deadlineIsCtx {
+			c.ctxErr = context.DeadlineExceeded
+			return c.canceledSolution([]*worker{w0}), c.ctxErr
+		}
+		if root.Limit == lp.LimitWallClock || c.haveInc {
+			// The root LP itself stopped at a limit. Map it to the same
+			// terminal state the between-node checks produce, so callers
+			// see one consistent limit contract: a warm-start incumbent
+			// is surrendered with an unknown gap (no bound was proven).
+			c.limit = root.Limit
 			return c.assembleFinish(c.lastBound, lp.StatusNodeLimit, []*worker{w0})
 		}
 		return &lp.Solution{Status: root.Status, Iterations: c.iterations, Limit: root.Limit}, nil
@@ -825,18 +830,9 @@ func (c *coordinator) emitSolveEnd(sol *lp.Solution, err error) {
 		if sol.X != nil && !math.IsNaN(sol.Objective) && !math.IsInf(sol.Objective, 0) {
 			e.Value = obs.Float64(sol.Objective)
 		}
-		e.Gap = obs.Float64(jsonSafeEventGap(sol.Gap))
+		e.Gap = obs.Float64(lp.JSONSafeGap(sol.Gap))
 	}
 	tr.Emit(e)
-}
-
-// jsonSafeEventGap maps an unknown (infinite) gap to -1 so trace events
-// always survive encoding/json, mirroring the planner's plan encoding.
-func jsonSafeEventGap(gap float64) float64 {
-	if math.IsInf(gap, 0) || math.IsNaN(gap) {
-		return -1
-	}
-	return gap
 }
 
 // foldMetrics records the solve's totals into the metrics registry: one

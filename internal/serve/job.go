@@ -22,10 +22,12 @@ const (
 	StateFailed   = "failed"
 )
 
-// job is one submitted planning request moving through the queue.
+// job is one submitted planning request. It outlives its solve (status,
+// plan and ?prev= lookups read it), so it does not hold the decoded
+// state: that rides the queue in a pending and is dropped when the
+// solve ends.
 type job struct {
 	id       string
-	state    *model.AsIsState
 	cacheKey string
 	seed     *model.Plan // previous plan for warm re-planning, nil for cold
 	tail     *obs.TailSink
@@ -55,6 +57,12 @@ func (j *job) snapshot() jobStatus {
 	}
 }
 
+// pending is a queued solve: the job and the state it plans.
+type pending struct {
+	j     *job
+	state *model.AsIsState
+}
+
 // jobStatus is the JSON shape of GET /v1/plans/{id}.
 type jobStatus struct {
 	ID       string `json:"id"`
@@ -77,12 +85,12 @@ type jobStatus struct {
 
 // solve runs one job to its terminal state. It is called on a solver
 // goroutine; ctx is the server's lifetime.
-func (s *Server) solve(ctx context.Context, j *job) {
+func (s *Server) solve(ctx context.Context, j *job, state *model.AsIsState) {
 	j.mu.Lock()
 	j.status = StateSolving
 	j.mu.Unlock()
 
-	plan, err := s.solvePlan(ctx, j)
+	plan, err := s.solvePlan(ctx, j, state)
 	j.mu.Lock()
 	defer func() {
 		j.mu.Unlock()
@@ -123,7 +131,7 @@ func (s *Server) solve(ctx context.Context, j *job) {
 // trace streams into its TailSink; the solver's metrics registry stays
 // nil so the plan's stats — and therefore its bytes — match what the
 // plain CLI produces for the same state and options.
-func (s *Server) solvePlan(ctx context.Context, j *job) (*model.Plan, error) {
+func (s *Server) solvePlan(ctx context.Context, j *job, state *model.AsIsState) (*model.Plan, error) {
 	opts := s.cfg.Core
 	opts.Solver.Metrics = nil
 	if opts.Solver.Workers == 1 {
@@ -131,7 +139,7 @@ func (s *Server) solvePlan(ctx context.Context, j *job) (*model.Plan, error) {
 	} else {
 		opts.Solver.Trace = obs.New(j.tail)
 	}
-	planner, err := core.New(j.state, opts)
+	planner, err := core.New(state, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -63,9 +63,6 @@ type Config struct {
 	// Solvers is the number of concurrent solves (default 1). Total
 	// solver parallelism is Solvers × Core.Solver.Workers.
 	Solvers int
-	// Metrics receives the serve.* counters and gauges. When nil a
-	// fresh registry is created; Metrics() returns it either way.
-	Metrics *obs.Metrics
 }
 
 // Server is the planning daemon. Create with New, expose via Handler,
@@ -77,7 +74,7 @@ type Server struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	queue  chan *job
+	queue  chan pending
 	wg     sync.WaitGroup
 
 	mu     sync.Mutex
@@ -94,27 +91,23 @@ func New(cfg Config) *Server {
 	if cfg.Solvers <= 0 {
 		cfg.Solvers = 1
 	}
-	met := cfg.Metrics
-	if met == nil {
-		met = obs.NewMetrics()
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:    cfg,
-		met:    met,
+		met:    obs.NewMetrics(),
 		cache:  newPlanCache(),
 		ctx:    ctx,
 		cancel: cancel,
-		queue:  make(chan *job, cfg.Queue),
+		queue:  make(chan pending, cfg.Queue),
 		jobs:   make(map[string]*job),
 	}
 	for i := 0; i < cfg.Solvers; i++ {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			for j := range s.queue {
+			for p := range s.queue {
 				s.met.SetGauge(obs.MetricServeQueueDepth, float64(len(s.queue)))
-				s.solve(ctx, j)
+				s.solve(ctx, p.j, p.state)
 			}
 		}()
 	}
@@ -155,14 +148,13 @@ func (s *Server) Warm(ctx context.Context, state *model.AsIsState) error {
 	}
 	j := &job{
 		id:       "warm",
-		state:    state,
 		cacheKey: key,
 		tail:     obs.NewTailSink(),
 		status:   StateQueued,
 	}
 	s.met.Add(obs.MetricServeJobsSubmitted, 1)
 	s.met.Add(obs.MetricServeCacheMisses, 1)
-	s.solve(ctx, j)
+	s.solve(ctx, j, state)
 	if st := j.snapshot(); st.State == StateFailed {
 		return fmt.Errorf("serve: warm solve of %s failed: %s", state.Name, st.Error)
 	}
@@ -250,7 +242,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	j := &job{
 		id:       fmt.Sprintf("p%d", s.nextID),
-		state:    state,
 		cacheKey: key,
 		seed:     seed,
 		tail:     obs.NewTailSink(),
@@ -278,10 +269,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.met.Add(obs.MetricServeCacheMisses, 1)
 	}
 
+	// The 202 reply reports the job as it entered the queue; a solver
+	// may pick it up before the reply is written.
+	queued := j.snapshot()
 	select {
-	case s.queue <- j:
+	case s.queue <- pending{j: j, state: state}:
 		s.met.SetGauge(obs.MetricServeQueueDepth, float64(len(s.queue)))
-		writeJSON(w, http.StatusAccepted, j.snapshot())
+		writeJSON(w, http.StatusAccepted, queued)
 	default:
 		s.mu.Lock()
 		delete(s.jobs, j.id)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -499,5 +500,56 @@ func TestSubmitBodyLimit(t *testing.T) {
 	srv.mu.Unlock()
 	if jobs != 0 {
 		t.Errorf("%d jobs created by a rejected submission", jobs)
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full
+// collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestAnsweredJobsDropTheirState: a job outlives its answer (status,
+// plan and ?prev= lookups read it), but the decoded state it was
+// submitted with must not. Cache hits are the cheapest jobs to pile up:
+// forty hits on a full-scale Enterprise1 state may hold a quarter of
+// one decoded state each at most, where keeping the state holds a whole
+// one each.
+func TestAnsweredJobsDropTheirState(t *testing.T) {
+	body := stateBytes(t, 1)
+	opts := testOptions()
+	opts.Solver.GapTol = 0.5 // the warm starts close the root: a fast clean solve
+	_, hs := startServer(t, Config{Core: opts})
+	first := submit(t, hs, body, "", http.StatusAccepted)
+	if st, _ := waitTerminal(t, hs, first.ID); st.State != StateDone {
+		t.Fatalf("cold solve ended %s: %s", st.State, st.Error)
+	}
+
+	const copies = 10
+	before := liveHeap()
+	states := make([]*model.AsIsState, copies)
+	for i := range states {
+		st, err := model.ReadState(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		states[i] = st
+	}
+	stateSize := (liveHeap() - before) / copies
+	runtime.KeepAlive(states)
+
+	const hits = 40
+	before = liveHeap()
+	for i := 0; i < hits; i++ {
+		if st := submit(t, hs, body, "", http.StatusOK); !st.Cached {
+			t.Fatalf("submission %d = %+v, want a cache hit", i, st)
+		}
+	}
+	if grown := liveHeap() - before; grown > hits*stateSize/4 {
+		t.Fatalf("%d answered cache hits hold %d bytes of live heap; one decoded state is %d bytes",
+			hits, grown, stateSize)
 	}
 }

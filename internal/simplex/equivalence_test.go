@@ -1,6 +1,7 @@
 package simplex
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,7 +56,7 @@ func TestExactReferenceRandomLPs(t *testing.T) {
 
 // TestExactReferenceWarm repeats the check over the warm path: a parent
 // LP is solved, one bound is tightened branch & bound style, and both
-// SolveFrom(child, parentBasis) and a cold solve of the child must match
+// SolveFrom(ctx, child, parentBasis) and a cold solve of the child must match
 // the exact reference.
 func TestExactReferenceWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
@@ -76,7 +77,7 @@ func TestExactReferenceWarm(t *testing.T) {
 		basis := s.Basis()
 
 		branchLike(parent, p, rng)
-		warm, err := s.SolveFrom(parent, basis)
+		warm, err := s.SolveFrom(context.Background(), parent, basis)
 		if err != nil {
 			t.Fatalf("trial %d warm child: %v", trial, err)
 		}

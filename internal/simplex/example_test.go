@@ -1,6 +1,7 @@
 package simplex_test
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/etransform/etransform/internal/lp"
@@ -29,7 +30,7 @@ func ExampleSolver_SolveFrom() {
 
 	// Branch like the MILP layer: force x down to 0 in the child node.
 	m.SetBounds(x, 0, 0)
-	child, err := s.SolveFrom(m, basis)
+	child, err := s.SolveFrom(context.Background(), m, basis)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package simplex
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -118,7 +119,7 @@ func TestExtendRowsWarmResolve(t *testing.T) {
 		}
 
 		ws := NewSolver(nil)
-		got, err := ws.SolveFrom(child, basis.ExtendRows(1))
+		got, err := ws.SolveFrom(context.Background(), child, basis.ExtendRows(1))
 		if err != nil {
 			t.Fatalf("trial %d: warm re-solve: %v", trial, err)
 		}
@@ -168,7 +169,7 @@ func TestExtendRowsMultiple(t *testing.T) {
 	child := m.Clone()
 	child.AddRow("c1", []lp.Term{{Var: a, Coef: 1}}, lp.LE, 3)
 	child.AddRow("c2", []lp.Term{{Var: b, Coef: 1}}, lp.LE, 2)
-	got, err := NewSolver(nil).SolveFrom(child, s.Basis().ExtendRows(2))
+	got, err := NewSolver(nil).SolveFrom(context.Background(), child, s.Basis().ExtendRows(2))
 	if err != nil || got.Status != lp.StatusOptimal {
 		t.Fatalf("extended solve: %v status %v", err, got.Status)
 	}

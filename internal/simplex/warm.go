@@ -123,16 +123,12 @@ func (b *Basis) ExtendRows(k int) *Basis {
 // primal feasibility, SolveFrom discards it and re-runs the cold
 // two-phase path, so the result is exactly what Solve would have
 // produced. A nil basis degrades to Solve.
-func (s *Solver) SolveFrom(model *lp.Model, basis *Basis) (*lp.Solution, error) {
-	return s.solve(nil, model, basis)
-}
-
-// SolveFromContext is SolveFrom with cancellation (see SolveContext).
-// A nil ctx is treated as context.Background().
-func (s *Solver) SolveFromContext(ctx context.Context, model *lp.Model, basis *Basis) (*lp.Solution, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+//
+// ctx cancels the solve as in SolveContext; a nil ctx never does.
+// Branch & bound passes context.Background(): it polls its own context
+// between nodes, so a canceled search surrenders its incumbent instead
+// of failing on a half-pivoted node LP.
+func (s *Solver) SolveFrom(ctx context.Context, model *lp.Model, basis *Basis) (*lp.Solution, error) {
 	return s.solve(ctx, model, basis)
 }
 

@@ -1,6 +1,7 @@
 package simplex
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func TestWarmSolveFromMatchesCold(t *testing.T) {
 		met := obs.NewMetrics()
 		warmOpts := Options{Metrics: met}
 		ws := NewSolver(&warmOpts)
-		got, err := ws.SolveFrom(child, basis)
+		got, err := ws.SolveFrom(context.Background(), child, basis)
 		if err != nil {
 			t.Fatalf("trial %d: warm solve: %v", trial, err)
 		}
@@ -100,7 +101,7 @@ func TestWarmNilBasisEqualsSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		m := randomBoxLP(rng)
-		a, err := NewSolver(nil).SolveFrom(m, nil)
+		a, err := NewSolver(nil).SolveFrom(context.Background(), m, nil)
 		if err != nil {
 			t.Fatalf("SolveFrom: %v", err)
 		}
@@ -140,7 +141,7 @@ func TestWarmResolveSameModelSkipsPhase1(t *testing.T) {
 
 	met := obs.NewMetrics()
 	ws := NewSolver(&Options{Metrics: met})
-	warm, err := ws.SolveFrom(m, basis)
+	warm, err := ws.SolveFrom(context.Background(), m, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestWarmStaleBasisFallsBack(t *testing.T) {
 
 	met := obs.NewMetrics()
 	ws := NewSolver(&Options{Metrics: met})
-	sol, err := ws.SolveFrom(big, stale)
+	sol, err := ws.SolveFrom(context.Background(), big, stale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestWarmInfeasibleChild(t *testing.T) {
 	child.SetBounds(x, 0, 1)
 	child.SetBounds(y, 0, 1) // x+y >= 6 now impossible
 
-	sol, err := NewSolver(nil).SolveFrom(child, basis)
+	sol, err := NewSolver(nil).SolveFrom(context.Background(), child, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestWarmBasisOutlivesSolver(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sol, err := NewSolver(nil).SolveFrom(m, basis)
+	sol, err := NewSolver(nil).SolveFrom(context.Background(), m, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
