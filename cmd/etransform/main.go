@@ -49,7 +49,6 @@ import (
 
 	"github.com/etransform/etransform/internal/core"
 	"github.com/etransform/etransform/internal/lp"
-	"github.com/etransform/etransform/internal/milp"
 	"github.com/etransform/etransform/internal/model"
 	"github.com/etransform/etransform/internal/obs"
 	"github.com/etransform/etransform/internal/report"
@@ -78,20 +77,12 @@ func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 func run(args []string) (degraded bool, err error) {
 	fs := flag.NewFlagSet("etransform", flag.ContinueOnError)
 	statePath := fs.String("state", "", "path to the as-is state JSON (required)")
-	dr := fs.Bool("dr", false, "plan disaster recovery (secondary sites + shared backup pool)")
-	dedicated := fs.Bool("dedicated", false, "with -dr: dedicated per-group backup servers (multi-failure planning) instead of the shared single-failure pool")
-	shadow := fs.Bool("shadow", false, "report capacity shadow prices (LP-relaxation duals per data center)")
-	omega := fs.Float64("omega", 0, "business-impact cap: max fraction of app groups per data center (0 disables)")
-	candidates := fs.Int("candidates", 0, "restrict each group to its K cheapest candidate DCs (0 = all)")
-	gap := fs.Float64("gap", 1e-3, "MILP relative optimality gap")
-	nodes := fs.Int("nodes", 20000, "branch & bound node limit")
-	timeLimit := fs.Duration("timelimit", 5*time.Minute, "solve wall-clock limit")
+	var coreOpts core.Options
+	coreOpts.RegisterFlags(fs)
 	lpOut := fs.String("lp", "", "write the MILP in CPLEX LP format to this file and exit")
 	mpsOut := fs.String("mps", "", "write the MILP in MPS format to this file and exit")
 	planOut := fs.String("plan", "", "write the to-be plan JSON to this file")
 	showReport := fs.Bool("report", true, "print the human-readable plan report")
-	memBudget := fs.Int64("membudget", 0, "open-node queue memory budget in bytes (0 = unlimited)")
-	workers := fs.Int("workers", 0, "branch & bound worker goroutines (0 = all CPUs, 1 = deterministic)")
 	traceOut := fs.String("trace", "", "write a structured JSONL solve trace to this file (byte-stable at -workers 1)")
 	metricsOut := fs.String("metrics", "", "write the solve metrics snapshot JSON to this file")
 	profileDir := fs.String("profile", "", "write cpu.pprof and heap.pprof profiles into this directory")
@@ -116,7 +107,7 @@ func run(args []string) (degraded bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	obsrv, err := obs.OpenFileObserver(*traceOut, *metricsOut, *profileDir, *workers == 1)
+	obsrv, err := obs.OpenFileObserver(*traceOut, *metricsOut, *profileDir, coreOpts.Solver.Workers == 1)
 	if err != nil {
 		return false, err
 	}
@@ -130,23 +121,9 @@ func run(args []string) (degraded bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	coreOpts := core.Options{
-		DR:                  *dr,
-		DedicatedBackups:    *dedicated,
-		ComputeShadowPrices: *shadow,
-		Omega:               *omega,
-		CandidateK:          *candidates,
-		Solver: milp.Options{
-			GapTol:      *gap,
-			MaxNodes:    *nodes,
-			TimeLimit:   *timeLimit,
-			MemoryBytes: *memBudget,
-			Workers:     *workers,
-			Inject:      inject,
-			Trace:       obsrv.Tracer,
-			Metrics:     obsrv.Metrics,
-		},
-	}
+	coreOpts.Solver.Inject = inject
+	coreOpts.Solver.Trace = obsrv.Tracer
+	coreOpts.Solver.Metrics = obsrv.Metrics
 	if *robustSpec != "" {
 		// Per-sample injectors are derived inside the harness from the
 		// spec string; the shared injector must not leak into the nominal
@@ -182,7 +159,6 @@ func run(args []string) (degraded bool, err error) {
 			samples:   *samples,
 			seed:      *seed,
 			cvar:      *cvar,
-			workers:   *workers,
 			faults:    *faults,
 			faultSeed: *faultSeed,
 			reportOut: *robustOut,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/etransform/etransform/internal/datagen"
+	"github.com/etransform/etransform/internal/lp"
 	"github.com/etransform/etransform/internal/model"
 )
 
@@ -87,32 +88,46 @@ func TestRunPinForbid(t *testing.T) {
 	}
 }
 
-// TestRunFaultsDegraded: forcing every simplex pivot to fail defeats the
-// exact stage; the CLI must still write a plan from a fallback stage and
-// report it as degraded (exit code 3 path).
+// TestRunFaultsDegraded: one -faults spec reaches every stage. Failing
+// every simplex pivot defeats the exact stage and the LP-rounding
+// relaxation, so the plan comes from stage 3; failing the first pivot of
+// both exact attempts leaves stage 2 to produce it. Either way the CLI
+// must write the plan and report it as degraded (exit code 3 path).
 func TestRunFaultsDegraded(t *testing.T) {
 	state := writeTestState(t)
-	planPath := filepath.Join(t.TempDir(), "plan.json")
-	degraded, err := run([]string{"-state", state, "-plan", planPath, "-report=false",
-		"-faults", "pivotxall", "-timelimit", "30s"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !degraded {
-		t.Error("fault-forced fallback plan not reported degraded")
-	}
-	f, err := os.Open(planPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	plan, err := model.ReadPlan(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := plan.Stats.Degradation
-	if d == nil || !d.Degraded || d.Stage == "" || d.Reason == "" {
-		t.Errorf("written plan lacks a degradation report: %+v", d)
+	for _, tc := range []struct {
+		spec  string
+		stage string
+		index int
+	}{
+		{"pivotxall", lp.StageGreedy, 3},
+		{"pivotx2", lp.StageRounding, 2},
+	} {
+		planPath := filepath.Join(t.TempDir(), "plan.json")
+		degraded, err := run([]string{"-state", state, "-plan", planPath, "-report=false",
+			"-faults", tc.spec, "-timelimit", "30s"})
+		if err != nil {
+			t.Fatalf("-faults %s: %v", tc.spec, err)
+		}
+		if !degraded {
+			t.Errorf("-faults %s: fault-forced fallback plan not reported degraded", tc.spec)
+		}
+		f, err := os.Open(planPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := model.ReadPlan(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := plan.Stats.Degradation
+		if d == nil || !d.Degraded || d.Reason == "" {
+			t.Fatalf("-faults %s: written plan lacks a degradation report: %+v", tc.spec, d)
+		}
+		if d.Stage != tc.stage || d.StageIndex != tc.index {
+			t.Errorf("-faults %s: stage %s/%d, want %s/%d", tc.spec, d.Stage, d.StageIndex, tc.stage, tc.index)
+		}
 	}
 	if _, err := run([]string{"-state", state, "-faults", "bogus-kind"}); err == nil {
 		t.Error("malformed fault spec accepted")

@@ -19,7 +19,6 @@ type robustFlags struct {
 	samples   int
 	seed      int64
 	cvar      float64
-	workers   int
 	faults    string
 	faultSeed int64
 	reportOut string
@@ -43,7 +42,7 @@ func runRobust(state *model.AsIsState, coreOpts core.Options, rf robustFlags) (d
 	res, err := robust.Run(context.Background(), state, spec, robust.Options{
 		Samples:   rf.samples,
 		Seed:      rf.seed,
-		Workers:   rf.workers,
+		Workers:   coreOpts.Solver.Workers,
 		CVaRAlpha: rf.cvar,
 		Faults:    rf.faults,
 		FaultSeed: rf.faultSeed,

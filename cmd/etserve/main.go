@@ -14,8 +14,9 @@
 //	etserve -preload seed1.json -preload seed2.json
 //
 // The solve flags (-dr, -omega, -gap, -nodes, -timelimit, -workers, …)
-// mirror the etransform CLI and apply to every job the daemon accepts,
-// so a plan fetched from GET /v1/plans/{id}/plan is byte-identical to
+// are etransform's own, defined once by core.Options.RegisterFlags, and
+// apply to every job the daemon accepts, so a plan fetched from
+// GET /v1/plans/{id}/plan is byte-identical to
 // `etransform -state <same file> -plan -` with the same flags.
 //
 // -preload solves the given state files before the listener starts,
@@ -40,7 +41,6 @@ import (
 
 	"github.com/etransform/etransform/internal/core"
 	"github.com/etransform/etransform/internal/experiments"
-	"github.com/etransform/etransform/internal/milp"
 	"github.com/etransform/etransform/internal/model"
 	"github.com/etransform/etransform/internal/serve"
 )
@@ -76,34 +76,10 @@ func run(args []string) error {
 	var preload multiFlag
 	fs.Var(&preload, "preload", "solve this as-is state JSON at startup to warm the plan cache (repeatable)")
 
-	// Solve flags, mirroring the etransform CLI.
-	dr := fs.Bool("dr", false, "plan disaster recovery (secondary sites + shared backup pool)")
-	dedicated := fs.Bool("dedicated", false, "with -dr: dedicated per-group backup servers instead of the shared pool")
-	shadow := fs.Bool("shadow", false, "report capacity shadow prices in every plan")
-	omega := fs.Float64("omega", 0, "business-impact cap: max fraction of app groups per data center (0 disables)")
-	candidates := fs.Int("candidates", 0, "restrict each group to its K cheapest candidate DCs (0 = all)")
-	gap := fs.Float64("gap", 1e-3, "MILP relative optimality gap")
-	nodes := fs.Int("nodes", 20000, "branch & bound node limit")
-	timeLimit := fs.Duration("timelimit", 5*time.Minute, "per-job solve wall-clock limit")
-	memBudget := fs.Int64("membudget", 0, "open-node queue memory budget in bytes (0 = unlimited)")
-	workers := fs.Int("workers", 0, "branch & bound worker goroutines per job (0 = all CPUs, 1 = deterministic traces)")
+	var coreOpts core.Options
+	coreOpts.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	coreOpts := core.Options{
-		DR:                  *dr,
-		DedicatedBackups:    *dedicated,
-		ComputeShadowPrices: *shadow,
-		Omega:               *omega,
-		CandidateK:          *candidates,
-		Solver: milp.Options{
-			GapTol:      *gap,
-			MaxNodes:    *nodes,
-			TimeLimit:   *timeLimit,
-			MemoryBytes: *memBudget,
-			Workers:     *workers,
-		},
 	}
 	// Refuse a bad solve flag once, before preload and the listener,
 	// instead of failing every job the daemon accepts.

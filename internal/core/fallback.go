@@ -11,7 +11,6 @@ import (
 	"github.com/etransform/etransform/internal/milp"
 	"github.com/etransform/etransform/internal/model"
 	"github.com/etransform/etransform/internal/obs"
-	"github.com/etransform/etransform/internal/simplex"
 	"github.com/etransform/etransform/internal/tol"
 )
 
@@ -20,8 +19,10 @@ import (
 // of budget.
 //
 //	stage 1  exact branch & bound, with one retry on a perturbed
-//	         branching order under Bland's pivoting rule;
-//	stage 2  LP-relaxation rounding with greedy repair;
+//	         branching order under Bland's pivoting rule (both selected
+//	         by milp.Options.PerturbSeed);
+//	stage 2  LP-relaxation rounding with greedy repair, the relaxation
+//	         solved through milp.SolveContext under stage 1's options;
 //	stage 3  the cheapest warm start that certifies: the seed plan or an
 //	         LP-free heuristic point (warm.go), all encoded before
 //	         stage 1, so the last stage neither solves an LP nor runs
@@ -98,7 +99,6 @@ func (p *Planner) solvePipeline(ctx context.Context, candidateK int) (*model.Pla
 		solver.WarmStarts = warm
 		if attempt > 1 {
 			solver.PerturbSeed = retrySeed
-			solver.Simplex.Bland = true
 		}
 		t0 := time.Now()
 		end := span(lp.StageExact, attempt, t0)
@@ -178,7 +178,7 @@ func (p *Planner) solvePipeline(ctx context.Context, candidateK int) (*model.Pla
 		stage string
 		run   func() (*model.Plan, error)
 	}{
-		{lp.StageRounding, func() (*model.Plan, error) { return b.lpRoundingPlan(ctx, p.stageDeadline()) }},
+		{lp.StageRounding, func() (*model.Plan, error) { return b.lpRoundingPlan(ctx) }},
 		{lp.StageGreedy, func() (*model.Plan, error) { return b.cheapestWarmPlan(warm) }},
 	}
 	for k, f := range fallbacks {
@@ -225,17 +225,6 @@ func degradeReason(sol *lp.Solution) string {
 		return fmt.Sprintf("exact search stopped at the %s limit before proving any bound", limit)
 	}
 	return fmt.Sprintf("exact search stopped at the %s limit with a certified gap of %.4g", limit, sol.Gap)
-}
-
-// stageDeadline computes the per-stage wall budget for fallback stages:
-// each stage gets a fresh allowance equal to the configured solve wall
-// limit (the zero time means unbounded).
-func (p *Planner) stageDeadline() time.Time {
-	wall := p.opts.Solver.TimeLimit
-	if wall <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(wall)
 }
 
 // finishSolution certifies sol against the full MILP and decodes it into
@@ -298,28 +287,16 @@ func (b *builder) cheapestWarmPlan(warm [][]float64) (*model.Plan, error) {
 // lpRoundingPlan is stage 2: solve the continuous relaxation, round each
 // group onto the site carrying the largest fractional mass (repairing
 // capacity greedily, largest groups first), polish with local search,
-// and certify.
-func (b *builder) lpRoundingPlan(ctx context.Context, deadline time.Time) (*model.Plan, error) {
-	opts := b.p.opts.Solver.Simplex
-	if !deadline.IsZero() {
-		opts.Deadline = deadline
-	}
-	// The relaxation bypasses milp.SolveContext (which normally hands the
-	// observer down), so wire the stage-2 LP into the same tracer/registry
-	// here: its pivots and phase events count toward the solve totals.
-	opts.Trace = b.p.opts.Solver.Trace
-	opts.Metrics = b.p.opts.Solver.Metrics
-	rel, err := simplex.SolveContext(ctx, b.m.Relax(), &opts)
+// and certify. The relaxation has no integer variables, so its milp
+// solve ends at the root LP, under stage 1's time limit, fault harness
+// and observers; milp rejects a non-finite root point.
+func (b *builder) lpRoundingPlan(ctx context.Context) (*model.Plan, error) {
+	rel, err := milp.SolveContext(ctx, b.m.Relax(), &b.p.opts.Solver)
 	if err != nil {
 		return nil, fmt.Errorf("core: lp-rounding relaxation: %w", err)
 	}
 	if rel.Status != lp.StatusOptimal {
 		return nil, fmt.Errorf("core: lp-rounding relaxation ended %v", rel.Status)
-	}
-	for _, v := range rel.X {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("core: lp-rounding relaxation returned non-finite values")
-		}
 	}
 	placement, secondary, ok := b.roundedPlacement(rel.X)
 	if !ok {

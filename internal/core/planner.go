@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"github.com/etransform/etransform/internal/lp"
 	"github.com/etransform/etransform/internal/milp"
@@ -63,6 +65,24 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: omega (ω) is NaN; want a fraction in (0, 1), or a value ≤ 0 or ≥ 1 to disable the cap")
 	}
 	return o.Solver.Validate()
+}
+
+// RegisterFlags binds the planner's solve flags (-dr, -dedicated,
+// -shadow, -omega, -candidates, -gap, -nodes, -timelimit, -membudget,
+// -workers) to o's fields and sets their defaults. etransform and
+// etserve share this one definition, so the same flags configure the
+// same solve in both.
+func (o *Options) RegisterFlags(fs *flag.FlagSet) {
+	fs.BoolVar(&o.DR, "dr", false, "plan disaster recovery (secondary sites + shared backup pool)")
+	fs.BoolVar(&o.DedicatedBackups, "dedicated", false, "with -dr: dedicated per-group backup servers (multi-failure planning) instead of the shared single-failure pool")
+	fs.BoolVar(&o.ComputeShadowPrices, "shadow", false, "report capacity shadow prices (LP-relaxation duals per data center)")
+	fs.Float64Var(&o.Omega, "omega", 0, "business-impact cap: max fraction of app groups per data center (0 disables)")
+	fs.IntVar(&o.CandidateK, "candidates", 0, "restrict each group to its K cheapest candidate DCs (0 = all)")
+	fs.Float64Var(&o.Solver.GapTol, "gap", 1e-3, "MILP relative optimality gap")
+	fs.IntVar(&o.Solver.MaxNodes, "nodes", 20000, "branch & bound node limit")
+	fs.DurationVar(&o.Solver.TimeLimit, "timelimit", 5*time.Minute, "wall-clock limit per solve")
+	fs.Int64Var(&o.Solver.MemoryBytes, "membudget", 0, "open-node queue memory budget in bytes (0 = unlimited)")
+	fs.IntVar(&o.Solver.Workers, "workers", 0, "branch & bound worker goroutines per solve (0 = all CPUs, 1 = deterministic)")
 }
 
 // New validates the options and the state and returns a Planner.

@@ -12,7 +12,6 @@ import (
 	"github.com/etransform/etransform/internal/lp"
 	"github.com/etransform/etransform/internal/milp"
 	"github.com/etransform/etransform/internal/model"
-	"github.com/etransform/etransform/internal/simplex"
 	"github.com/etransform/etransform/internal/stepwise"
 )
 
@@ -572,17 +571,5 @@ func TestBuildModelStats(t *testing.T) {
 	// 2 groups × 2 DCs = 4 binaries; 2 assignment + 2 capacity rows.
 	if m.NumVars() != 4 || m.NumRows() != 4 {
 		t.Errorf("model dims %d×%d, want 4 vars × 4 rows: %s", m.NumVars(), m.NumRows(), m.Stats())
-	}
-}
-
-// TestMILPSolverOptionsPassThrough ensures solver limits propagate.
-func TestMILPSolverOptionsPassThrough(t *testing.T) {
-	s := twoDCState(t, 0)
-	p, err := New(s, Options{Solver: milp.Options{Simplex: simplex.Options{MaxIters: 100000}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Solve(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -67,12 +67,13 @@ func TestRetryWithPerturbationRecovers(t *testing.T) {
 	}
 }
 
-// TestFallbackToRoundingOnPersistentExactFailure: a fault that fires
-// forever defeats both exact attempts; the LP-rounding stage must
-// deliver a certified feasible plan naming the stage and the cause.
+// TestFallbackToRoundingOnPersistentExactFailure: a pivot fault that
+// fires twice fails the first pivot of both exact attempts; the
+// LP-rounding stage must deliver a certified feasible plan naming the
+// stage and the cause.
 func TestFallbackToRoundingOnPersistentExactFailure(t *testing.T) {
 	opts := Options{}
-	opts.Solver.Inject = faultinject.New(1, faultinject.Fault{Kind: faultinject.KindPivot, Count: -1})
+	opts.Solver.Inject = faultinject.New(1, faultinject.Fault{Kind: faultinject.KindPivot, Count: 2})
 	plan := solvePlan(t, twoDCState(t, 1000), opts)
 	d := plan.Stats.Degradation
 	if d == nil || !d.Degraded {
@@ -98,31 +99,36 @@ func TestFallbackToRoundingOnPersistentExactFailure(t *testing.T) {
 	}
 }
 
-// TestFallbackCascadesToGreedy: corrupting every simplex result kills
-// the exact stage and the rounding stage's relaxation; the LP-free
+// TestFallbackCascadesToGreedy: a persistent pivot failure or corrupted
+// simplex result, armed through Solver.Inject like the CLIs' -faults,
+// kills the exact stage and the rounding stage's relaxation; the LP-free
 // greedy stage must still deliver a certified plan.
 func TestFallbackCascadesToGreedy(t *testing.T) {
-	opts := Options{}
-	opts.Solver.Simplex.Inject = faultinject.New(1, faultinject.Fault{Kind: faultinject.KindCorrupt, Count: -1})
-	plan := solvePlan(t, twoDCState(t, 1000), opts)
-	d := plan.Stats.Degradation
-	if d == nil || !d.Degraded {
-		t.Fatalf("greedy fallback plan must be marked degraded: %+v", d)
-	}
-	if d.Stage != lp.StageGreedy || d.StageIndex != 3 {
-		t.Fatalf("stage = %q/%d, want greedy/3", d.Stage, d.StageIndex)
-	}
-	var stages []string
-	for _, a := range d.Attempts {
-		stages = append(stages, a.Stage+":"+a.Outcome)
-	}
-	got := strings.Join(stages, ",")
-	want := "exact-milp:failed,exact-milp:failed,lp-rounding:failed,greedy:ok"
-	if got != want {
-		t.Errorf("attempt log %q, want %q", got, want)
-	}
-	if plan.Stats.Certificate == "" {
-		t.Error("greedy fallback plan was not certified")
+	for _, kind := range []faultinject.Kind{faultinject.KindPivot, faultinject.KindCorrupt} {
+		t.Run(kind.String(), func(t *testing.T) {
+			opts := Options{}
+			opts.Solver.Inject = faultinject.New(1, faultinject.Fault{Kind: kind, Count: -1})
+			plan := solvePlan(t, twoDCState(t, 1000), opts)
+			d := plan.Stats.Degradation
+			if d == nil || !d.Degraded {
+				t.Fatalf("greedy fallback plan must be marked degraded: %+v", d)
+			}
+			if d.Stage != lp.StageGreedy || d.StageIndex != 3 {
+				t.Fatalf("stage = %q/%d, want greedy/3", d.Stage, d.StageIndex)
+			}
+			var stages []string
+			for _, a := range d.Attempts {
+				stages = append(stages, a.Stage+":"+a.Outcome)
+			}
+			got := strings.Join(stages, ",")
+			want := "exact-milp:failed,exact-milp:failed,lp-rounding:failed,greedy:ok"
+			if got != want {
+				t.Errorf("attempt log %q, want %q", got, want)
+			}
+			if plan.Stats.Certificate == "" {
+				t.Error("greedy fallback plan was not certified")
+			}
+		})
 	}
 }
 
@@ -148,7 +154,7 @@ func TestGreedyStageHonoursPins(t *testing.T) {
 					}
 				}
 				opts := Options{DR: dr}
-				opts.Solver.Simplex.Inject = faultinject.New(1, faultinject.Fault{Kind: faultinject.KindCorrupt, Count: -1})
+				opts.Solver.Inject = faultinject.New(1, faultinject.Fault{Kind: faultinject.KindCorrupt, Count: -1})
 				p, err := New(s, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -198,7 +204,7 @@ func TestGreedyStageReturnsCheapestWarmStart(t *testing.T) {
 			for seed := int64(1); seed <= 10; seed++ {
 				s := randomState(rand.New(rand.NewSource(seed)), sh[0], sh[1], sh[2], dr)
 				opts := Options{DR: dr}
-				opts.Solver.Simplex.Inject = faultinject.New(1, faultinject.Fault{Kind: faultinject.KindCorrupt, Count: -1})
+				opts.Solver.Inject = faultinject.New(1, faultinject.Fault{Kind: faultinject.KindCorrupt, Count: -1})
 				p, err := New(s, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -257,15 +263,15 @@ func TestDegradedBudgetSurrendersIncumbent(t *testing.T) {
 	}
 }
 
-// TestFallbackDRToRounding: a fault that defeats both exact attempts on
-// a DR model sends the solve to the LP-rounding stage, whose certified
-// plan must give every group a distinct secondary and size the backup
-// pools.
+// TestFallbackDRToRounding: a pivot fault that defeats both exact
+// attempts on a DR model sends the solve to the LP-rounding stage, whose
+// certified plan must give every group a distinct secondary and size the
+// backup pools.
 func TestFallbackDRToRounding(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := randomState(rng, 8, 3, 2, true)
 	opts := Options{DR: true}
-	opts.Solver.Inject = faultinject.New(1, faultinject.Fault{Kind: faultinject.KindPivot, Count: -1})
+	opts.Solver.Inject = faultinject.New(1, faultinject.Fault{Kind: faultinject.KindPivot, Count: 2})
 	plan := solvePlan(t, s, opts)
 	d := plan.Stats.Degradation
 	if d == nil || !d.Degraded || d.Stage != lp.StageRounding {

@@ -46,14 +46,17 @@ type Options struct {
 	MemoryBytes int64
 	// PerturbSeed, when nonzero, deterministically permutes the order
 	// integer variables are scanned for branching (and therefore the
-	// whole tree shape). The fallback pipeline uses it to retry a failed
-	// solve on a different — but replayable — search trajectory. 0 keeps
-	// the natural model order.
+	// whole tree shape) and prices every LP of the solve with Bland's
+	// rule. The fallback pipeline uses it to retry a failed solve on a
+	// different — but replayable — search trajectory. 0 keeps the
+	// natural model order and the default pricing.
 	PerturbSeed int64
 	// Inject, when non-nil, arms the deterministic fault-injection
-	// harness (worker panics, forced deadline expiry) and is handed down
-	// to the per-worker simplex engines for their own sites. Production
-	// callers leave it nil.
+	// harness at every site a solve reaches: worker panics and forced
+	// deadline expiry in the search, and pivot failures, stalls and
+	// corrupted results in every LP it runs, the root LP of a model
+	// with no integer variables included. Production callers leave it
+	// nil.
 	Inject *faultinject.Injector
 	// WarmStarts are candidate feasible points (len = model variables)
 	// supplied by the caller; each feasible one seeds the incumbent
@@ -84,8 +87,6 @@ type Options struct {
 	// within GapTol; see the package documentation's determinism
 	// argument.
 	Workers int
-	// Simplex carries options for the LP subproblems.
-	Simplex simplex.Options
 
 	// disableCuts turns off root cut separation, disableDiving the
 	// diving primal heuristic, and disablePresolve the bound-tightening
@@ -225,24 +226,24 @@ func SolveContext(ctx context.Context, model *lp.Model, opts *Options) (*lp.Solu
 			c.deadlineIsCtx = true
 		}
 	}
-	if !c.deadline.IsZero() {
-		// Per-worker simplex engines observe the same wall deadline, so a
-		// single long node LP cannot overrun the solve-wide budget.
-		c.opts.Simplex.Deadline = c.deadline
+	// Every LP of the solve (root, cut rounds, dives, node LPs) runs
+	// under these simplex options, built from the solve's own: the
+	// effective wall deadline, so a single long LP cannot overrun the
+	// solve-wide budget; the fault harness, so the simplex sites (pivot,
+	// corrupt, stall) fire inside the LPs too; the observers, so the LPs
+	// fold their pivot counters and phase events into the solve-wide
+	// tracer/registry; and Bland's rule on a perturbed retry.
+	c.lpOpts = simplex.Options{
+		Bland:    o.PerturbSeed != 0,
+		Deadline: c.deadline,
+		Inject:   o.Inject,
+		Trace:    o.Trace,
+		Metrics:  o.Metrics,
 	}
-	if o.Inject != nil {
-		// Hand the harness down so the simplex sites (pivot, corrupt,
-		// stall) fire inside node LPs too, and let it report firings to
-		// the observability layer when one is armed.
-		c.opts.Simplex.Inject = o.Inject
-		if o.Trace != nil || o.Metrics != nil {
-			o.Inject.Observe(o.Trace, o.Metrics)
-		}
+	if o.Inject != nil && (o.Trace != nil || o.Metrics != nil) {
+		// Let the harness report firings to the observability layer.
+		o.Inject.Observe(o.Trace, o.Metrics)
 	}
-	// Hand observability down the same way: node LPs fold their pivot
-	// counters and phase events into the solve-wide tracer/registry.
-	c.opts.Simplex.Trace = o.Trace
-	c.opts.Simplex.Metrics = o.Metrics
 	if o.Trace != nil {
 		o.Trace.Emit(obs.Event{
 			Kind: obs.KindSolveStart, Name: model.Name,

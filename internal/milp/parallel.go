@@ -21,6 +21,7 @@ import (
 // lock and do all LP work outside it.
 type coordinator struct {
 	opts     Options
+	lpOpts   simplex.Options // every LP's options, built once by SolveContext
 	ctx      contextLike
 	model    *lp.Model // original (with integrality markers), presolved
 	intVars  []lp.VarID
@@ -122,7 +123,7 @@ func (c *coordinator) newWorker(id int) *worker {
 		// only tighten.
 		base = c.cutModel
 	}
-	return &worker{id: id, c: c, work: base.Relax(), sx: simplex.NewSolver(&c.opts.Simplex)}
+	return &worker{id: id, c: c, work: base.Relax(), sx: simplex.NewSolver(&c.lpOpts)}
 }
 
 func (c *coordinator) expired() bool {

@@ -3,12 +3,14 @@ package milp
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/etransform/etransform/internal/lp"
 	"github.com/etransform/etransform/internal/resilience/faultinject"
+	"github.com/etransform/etransform/internal/simplex"
 )
 
 // TestBudgetMemoryStopsGracefully: an absurdly small open-node memory
@@ -171,5 +173,51 @@ func TestPerturbSeedIsDeterministic(t *testing.T) {
 				sol.Nodes, sol.Iterations, prev.Nodes, prev.Iterations)
 		}
 		prev = sol
+	}
+}
+
+// TestPerturbSeedSelectsBlandPricing: a solve with a nonzero PerturbSeed
+// prices its LPs with Bland's rule and a zero seed does not — the
+// contract of the planner's perturbed retry. The model has no integer
+// variables and presolve is off, so the solve is its root LP alone and
+// must pivot exactly as a direct simplex solve under the same rule.
+func TestPerturbSeedSelectsBlandPricing(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m := lp.NewModel("bland")
+	const n, rows = 12, 6
+	for j := 0; j < n; j++ {
+		m.AddContinuous("", 0, float64(1+rng.Intn(9)), -float64(1+rng.Intn(30)))
+	}
+	for i := 0; i < rows; i++ {
+		var terms []lp.Term
+		for j := 0; j < n; j++ {
+			if rng.Intn(3) > 0 {
+				terms = append(terms, lp.Term{Var: lp.VarID(j), Coef: float64(1 + rng.Intn(7))})
+			}
+		}
+		m.AddRow("", terms, lp.LE, float64(10+rng.Intn(20)))
+	}
+	pivots := map[bool]int{}
+	for _, seed := range []int64{0, 7919} {
+		bland := seed != 0
+		sol, err := Solve(m, &Options{Workers: 1, PerturbSeed: seed, disablePresolve: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := simplex.Solve(m.Relax(), &simplex.Options{Bland: bland})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != lp.StatusOptimal || ref.Status != lp.StatusOptimal {
+			t.Fatalf("seed %d: status %v, reference %v, want both optimal", seed, sol.Status, ref.Status)
+		}
+		if sol.Iterations != ref.Iterations {
+			t.Errorf("seed %d: %d pivots, a direct solve with Bland=%v takes %d",
+				seed, sol.Iterations, bland, ref.Iterations)
+		}
+		pivots[bland] = ref.Iterations
+	}
+	if pivots[true] == pivots[false] {
+		t.Fatalf("both pricing rules take %d pivots on this model; the test cannot tell them apart", pivots[true])
 	}
 }

@@ -30,10 +30,14 @@
 #                  same optimum (TestPairVsPaperFormulationEquivalent),
 #                  and group aggregation must be exact and shrink the
 #                  model (TestAggregationExact)
-#   9. fault smoke each injectable fault class forced against a small
-#                  dataset end to end, without and with -dr: the planner
-#                  must exit 0 (recovered) or 3 (degraded-but-feasible),
-#                  never crash, and every -dr plan must give each group a
+#   9. fault smoke each injectable fault class forced through -faults
+#                  end to end, without and with -dr, at -gap 1e-4 on a
+#                  state that branches in that mode: every row must fire
+#                  its fault (fault.fired in -metrics), exit 3 with a
+#                  certified degraded plan, and end at its pinned stage
+#                  (pivotx2 and panicxall at lp-rounding/2, pivotxall and
+#                  corruptxall at greedy/3, stallxall and deadlinexall at
+#                  exact-milp/1); every -dr plan must give each group a
 #                  secondary distinct from its primary; a corrupted
 #                  standalone solve must fail cleanly with exit 1
 #  10. robust smoke a fixed-seed Monte Carlo robustness batch, run twice
@@ -121,27 +125,39 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 go build -o "$SMOKE_DIR/etransform" ./cmd/etransform
 go build -o "$SMOKE_DIR/lpsolve" ./cmd/lpsolve
 go run ./cmd/etdatagen -dataset enterprise1 -scale 0.05 -o "$SMOKE_DIR/asis.json"
+go run ./cmd/etdatagen -dataset enterprise1 -scale 0.2 -o "$SMOKE_DIR/asis_x02.json"
 
-# Every fault class, forced persistently against the planner, without
-# and with DR: the resilient pipeline must deliver a plan — exit 0 (retry
-# recovered) or exit 3 (degraded-but-feasible via budget surrender or
-# fallback stage) — and a DR plan must give every group a distinct
-# secondary.
+# One -faults spec reaches every stage of the resilient pipeline. Each
+# row forces a fault class against the planner, without and with DR, at
+# -gap 1e-4 on a state whose search branches in that mode (the x0.2 state
+# without DR, the x0.05 state with it; the x0.05 non-DR solve closes at
+# the root at any gap, and there the panic and deadline sites are never
+# hit). Every row must fire its fault, exit 3 with a degraded plan, and
+# end at the stage pinned after the colon; a DR plan must give every
+# group a distinct secondary.
 for dr in "" -dr; do
-    for spec in pivotxall corruptxall stallxall panicxall deadlinexall; do
+    fault_state="$SMOKE_DIR/asis_x02.json"
+    if [ -n "$dr" ]; then
+        fault_state="$SMOKE_DIR/asis.json"
+    fi
+    for row in pivotx2:lp-rounding/2 pivotxall:greedy/3 corruptxall:greedy/3 \
+        stallxall:exact-milp/1 panicxall:lp-rounding/2 deadlinexall:exact-milp/1; do
+        spec=${row%%:*}
+        want=${row#*:}
         rc=0
-        rm -f "$SMOKE_DIR/fault_plan.json"
-        "$SMOKE_DIR/etransform" -state "$SMOKE_DIR/asis.json" -report=false $dr \
+        rm -f "$SMOKE_DIR/fault_plan.json" "$SMOKE_DIR/fault_metrics.json"
+        "$SMOKE_DIR/etransform" -state "$fault_state" -report=false $dr -gap 1e-4 \
             -faults "$spec" -timelimit 60s -plan "$SMOKE_DIR/fault_plan.json" \
-            > "$SMOKE_DIR/out.txt" 2>&1 || rc=$?
-        case $rc in
-        0|3) echo "    etransform${dr:+ $dr} -faults $spec: exit $rc (ok)" ;;
-        *)
-            echo "etransform${dr:+ $dr} -faults $spec: exit $rc, want 0 or 3" >&2
+            -metrics "$SMOKE_DIR/fault_metrics.json" > "$SMOKE_DIR/out.txt" 2>&1 || rc=$?
+        got=$(jq -r '.stats.degradation | "\(.stage)/\(.stage_index)"' \
+            "$SMOKE_DIR/fault_plan.json" 2>/dev/null || echo none)
+        fired=$(jq '.counters["fault.fired"] // 0' "$SMOKE_DIR/fault_metrics.json" 2>/dev/null || echo 0)
+        if [ "$rc" -ne 3 ] || [ "$got" != "$want" ] || [ "$fired" -lt 1 ]; then
+            echo "etransform${dr:+ $dr} -faults $spec: exit $rc at stage $got, fault.fired=$fired; want exit 3 at stage $want with the fault fired" >&2
             cat "$SMOKE_DIR/out.txt" >&2
             exit 1
-            ;;
-        esac
+        fi
+        echo "    etransform${dr:+ $dr} -faults $spec: exit 3 at $got, fault.fired=$fired (ok)"
         if [ -n "$dr" ] && ! jq -e '(.assignments|length) as $n | [.assignments[] | select((.secondary_dc // "") != "" and .secondary_dc != .primary_dc)] | length == $n' \
             "$SMOKE_DIR/fault_plan.json" > /dev/null; then
             echo "etransform -dr -faults $spec: some assignment lacks a secondary distinct from its primary" >&2
