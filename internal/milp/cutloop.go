@@ -61,9 +61,10 @@ func (c *coordinator) rootGapOpen(bound float64) bool {
 //
 // After the rounds, cuts the pool retired (slack for MaxAge consecutive
 // re-solves) are dropped and the survivors become c.cutModel, the model
-// every tree worker relaxes. Dropping a retired cut preserves the final
-// LP optimum (it was not binding there), so the returned strengthened
-// root solution remains valid for the slimmer model.
+// every tree worker relaxes. w0 re-solves that model from the last
+// round's basis with the retired rows dropped (Basis.DropRows), and the
+// re-solve is the returned root solution, so the root basis fits the
+// tree model and the root's children and dive start warm.
 //
 // A round, the first included, starts only while rootGapOpen holds, so
 // a root the warm starts already close separates nothing and builds no
@@ -143,6 +144,7 @@ func (c *coordinator) rootCuts(w0 *worker, root *lp.Solution) (*lp.Solution, err
 
 	active := pool.Active()
 	c.cutsActive = int64(len(active))
+	tree := c.model
 	if len(active) > 0 {
 		cm := c.model.Clone()
 		for _, ct := range active {
@@ -152,12 +154,28 @@ func (c *coordinator) rootCuts(w0 *worker, root *lp.Solution) (*lp.Solution, err
 			return nil, fmt.Errorf("milp: building cut model: %w", err)
 		}
 		c.cutModel = cm
-		if pool.Retired() > 0 {
-			// Align w0's working model with what the tree workers will see.
-			// The solver's basis no longer matches the row count, so w0's
-			// next LP starts cold — a root-only cost paid only when aging
-			// actually retired something.
-			w0.work = cm.Relax()
+		tree = cm
+	}
+	if retired := pool.Retired(); len(retired) > 0 {
+		// Align w0's working model with what the tree workers will see,
+		// and re-solve it from the root basis without the retired rows
+		// (pool position k is row NumRows()+k of w0.work). Their slacks
+		// are basic, so the trimmed basis is still optimal and the
+		// re-solve takes no pivots; its basis then fits the model the
+		// root children and the dive solve.
+		rows := make([]int, len(retired))
+		for i, k := range retired {
+			rows[i] = c.model.NumRows() + k
+		}
+		basis := w0.sx.Basis().DropRows(rows)
+		w0.work = tree.Relax()
+		sol, err := w0.sx.SolveFrom(context.Background(), w0.work, basis)
+		if err != nil {
+			return nil, err
+		}
+		w0.iterations += sol.Iterations
+		if sol.Status == lp.StatusOptimal && finiteSolution(sol) {
+			cur = sol
 		}
 	}
 	return cur, nil

@@ -301,13 +301,13 @@ func (p *Pool) Active() []Cut {
 // Len returns the total number of cuts ever pooled.
 func (p *Pool) Len() int { return len(p.cuts) }
 
-// Retired counts retired cuts.
-func (p *Pool) Retired() int {
-	n := 0
+// Retired returns the pool positions of the retired cuts, ascending.
+func (p *Pool) Retired() []int {
+	var out []int
 	for i := range p.cuts {
 		if p.cuts[i].retired {
-			n++
+			out = append(out, i)
 		}
 	}
-	return n
+	return out
 }

@@ -694,6 +694,7 @@ func (c *coordinator) solve() (*lp.Solution, error) {
 	wg.Wait()
 
 	if c.err != nil {
+		c.foldBusy(workers)
 		return nil, c.err
 	}
 	if c.ctxErr != nil {
@@ -840,7 +841,9 @@ func (c *coordinator) emitSolveEnd(sol *lp.Solution, err error) {
 // call per solve, after the terminal state is known. Per-worker node
 // counters sum to MetricMILPNodes whenever the tree search ran (they
 // are simply absent for pure-LP pass-through solves, whose single root
-// "node" no worker claimed).
+// "node" no worker claimed). A solve that failed (sol nil) folds the
+// coordinator's own totals, so the nodes its workers claimed before the
+// error still count.
 //
 //etlint:ignore lockguard called once from SolveContext after the search has fully terminated
 func (c *coordinator) foldMetrics(sol *lp.Solution) {
@@ -851,10 +854,11 @@ func (c *coordinator) foldMetrics(sol *lp.Solution) {
 	m.Add(obs.MetricMILPSolves, 1)
 	m.SetGauge(obs.MetricMILPWorkers, float64(c.opts.Workers))
 	m.MaxGauge(obs.MetricMILPPeakQueue, float64(c.peakQueue))
-	if sol == nil {
-		return
+	nodes, wall, work := c.nodes, time.Since(c.start), c.workTime
+	if sol != nil {
+		nodes, wall, work = sol.Nodes, sol.WallTime, sol.WorkTime
 	}
-	m.Add(obs.MetricMILPNodes, int64(sol.Nodes))
+	m.Add(obs.MetricMILPNodes, int64(nodes))
 	if c.nodes > 0 {
 		for i, n := range c.nodesBy {
 			if n > 0 {
@@ -862,8 +866,8 @@ func (c *coordinator) foldMetrics(sol *lp.Solution) {
 			}
 		}
 	}
-	m.Add(obs.MetricMILPWallMicros, sol.WallTime.Microseconds())
-	m.Add(obs.MetricMILPWorkMicros, sol.WorkTime.Microseconds())
+	m.Add(obs.MetricMILPWallMicros, wall.Microseconds())
+	m.Add(obs.MetricMILPWorkMicros, work.Microseconds())
 	// Cut counters fold only when the root separated something, so a
 	// solve that never cut (a closed or integral root, a pure LP) keeps
 	// the cut-free key set.

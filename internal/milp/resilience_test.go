@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/etransform/etransform/internal/lp"
+	"github.com/etransform/etransform/internal/obs"
 	"github.com/etransform/etransform/internal/resilience/faultinject"
 	"github.com/etransform/etransform/internal/simplex"
 )
@@ -115,6 +117,41 @@ func TestInjectedWorkerPanic(t *testing.T) {
 		}
 		if !inj.Fired(faultinject.KindPanic) {
 			t.Errorf("workers=%d: panic fault never fired", workers)
+		}
+	}
+}
+
+// TestFailedSolveFoldsSearchTotals: a solve that ends in an error still
+// folds its search totals. Under a panic on every claim (the CLIs'
+// -faults panicxall) each worker dies on its first node, so milp.nodes
+// must count the claimed nodes (exactly one at Workers=1), equal the
+// sum of the per-worker counters, and sit next to the wall and busy
+// times.
+func TestFailedSolveFoldsSearchTotals(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		met := obs.NewMetrics()
+		inj := faultinject.New(1, faultinject.Fault{Kind: faultinject.KindPanic, Count: -1})
+		m := stressModels()["knapsack30"]()
+		_, err := Solve(m, &Options{Workers: workers, Inject: inj, Metrics: met, disableCuts: true})
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("workers=%d: err = %v, want worker panic error", workers, err)
+		}
+		nodes := met.Counter(obs.MetricMILPNodes)
+		if workers == 1 && nodes != 1 {
+			t.Errorf("workers=1: milp.nodes = %d, want the 1 node claimed before the panic", nodes)
+		}
+		var byWorker int64
+		for i := 1; i <= workers; i++ {
+			byWorker += met.Counter(obs.MetricMILPNodesWorkerPrefix + strconv.Itoa(i))
+		}
+		if nodes < 1 || byWorker != nodes {
+			t.Errorf("workers=%d: milp.nodes = %d, per-worker sum %d; want equal and positive", workers, nodes, byWorker)
+		}
+		snap := met.Snapshot()
+		for _, k := range []string{obs.MetricMILPWallMicros, obs.MetricMILPWorkMicros} {
+			if _, ok := snap.Counters[k]; !ok {
+				t.Errorf("workers=%d: %s not folded for the failed solve", workers, k)
+			}
 		}
 	}
 }

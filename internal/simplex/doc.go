@@ -42,6 +42,20 @@
 // artificials either reaches zero (proceed to phase 2 on the true costs)
 // or proves infeasibility.
 //
+// # Warm starts
+//
+// Solver.SolveFrom skips phase 1 by installing a Basis snapshot, such
+// as a branch & bound parent's optimal basis (Basis.ExtendRows and
+// Basis.DropRows adapt one to appended or removed rows). The snapshot is
+// dual feasible for a child that differs only in bounds, and a textbook
+// bounded dual simplex restores primal feasibility: the min-ratio
+// column always pivots in, even past its opposite bound, so reduced
+// costs keep their signs and no bound flip can cycle. A leaving row
+// with no entering column ends the solve infeasible on the warm path
+// when its row of B⁻¹ passes a Farkas test on the model data. Anything
+// else, a basis that does not install, a row without such a proof or
+// the 100 + 2m restoration cap, falls back to the cold two-phase path.
+//
 // The tests check the engine against exactLP, an exact rational two-phase
 // tableau simplex that lives only in the test files and shares no code
 // with the engine: cold, warm-started and forced-Bland solves of random

@@ -177,3 +177,80 @@ func TestExtendRowsMultiple(t *testing.T) {
 		t.Fatalf("objective %v, want -5", got.Objective)
 	}
 }
+
+// TestDropRowsWarmResolve: DropRows is the inverse of ExtendRows for
+// rows whose slack is basic. On random solved LPs, dropping a random
+// subset of such rows leaves a basis that installs on the trimmed model
+// and is still optimal there, so the warm re-solve takes no pivots and
+// keeps the parent's objective, which exactLP confirms; dropping a row
+// whose slack is nonbasic returns nil.
+func TestDropRowsWarmResolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(404))
+	trimmed, refused := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		m := randomLP(rng, 2+rng.Intn(8), 2+rng.Intn(6))
+		s := NewSolver(nil)
+		sol, err := s.Solve(m)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if sol.Status != lp.StatusOptimal {
+			continue
+		}
+		basis := s.Basis()
+		if basis == nil {
+			continue
+		}
+		n := m.NumVars()
+		var drop []int
+		for r := 0; r < m.NumRows(); r++ {
+			switch {
+			case basis.status[n+r] != basic:
+				if basis.DropRows([]int{r}) != nil {
+					t.Fatalf("trial %d: dropping row %d with a nonbasic slack returned a basis", trial, r)
+				}
+				refused++
+			case len(drop) < m.NumRows()-1 && rng.Intn(2) == 0:
+				drop = append(drop, r)
+			}
+		}
+		if len(drop) == 0 {
+			continue
+		}
+		// The trimmed model keeps the other rows in their original order.
+		dropped := make(map[int]bool, len(drop))
+		for _, r := range drop {
+			dropped[r] = true
+		}
+		keep := lp.NewModel("trimmed")
+		for j := 0; j < n; j++ {
+			keep.AddVar(m.Var(lp.VarID(j)))
+		}
+		for r := 0; r < m.NumRows(); r++ {
+			if !dropped[r] {
+				row := m.Row(lp.RowID(r))
+				keep.AddRow(row.Name, row.Terms, row.Sense, row.RHS)
+			}
+		}
+		nb := basis.DropRows(drop)
+		if nb == nil {
+			t.Fatalf("trial %d: DropRows(%v) refused rows whose slacks are basic", trial, drop)
+		}
+		got, err := NewSolver(nil).SolveFrom(context.Background(), keep, nb)
+		if err != nil {
+			t.Fatalf("trial %d: warm re-solve: %v", trial, err)
+		}
+		if got.Status != lp.StatusOptimal || got.Iterations != 0 {
+			t.Fatalf("trial %d: warm re-solve of the trimmed model: %v after %d pivots, want optimal after 0",
+				trial, got.Status, got.Iterations)
+		}
+		if d := math.Abs(got.Objective - sol.Objective); d > 1e-9*math.Max(1, math.Abs(sol.Objective)) {
+			t.Fatalf("trial %d: trimmed objective %v, parent %v", trial, got.Objective, sol.Objective)
+		}
+		matchesExact(t, "trimmed", keep, got)
+		trimmed++
+	}
+	if trimmed < 50 || refused < 50 {
+		t.Fatalf("only %d trimmed re-solves and %d refusals: generator too degenerate", trimmed, refused)
+	}
+}

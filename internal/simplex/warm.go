@@ -109,6 +109,53 @@ func (b *Basis) ExtendRows(k int) *Basis {
 	return nb
 }
 
+// DropRows returns a copy of the snapshot for the model with the given
+// rows removed, the inverse of ExtendRows: the cut-pool case, where
+// cuts retired by activity aging leave the root model. Each dropped
+// row's slack must be basic, and it leaves the basis with its row.
+// Expanding det(B) along that slack's unit column shows the trimmed
+// basis matrix is nonsingular whenever B was, and a basic zero-cost
+// slack has a zero dual, so the remaining duals and reduced costs are
+// unchanged: an optimal basis stays optimal for the trimmed model.
+// Later slacks shift down to their rows' new indices, and the basic
+// columns keep their order. DropRows returns nil when a dropped slack
+// is nonbasic (its row may bind, and no such identity holds) or a row
+// is out of range. A nil receiver or an empty rows returns the
+// receiver.
+func (b *Basis) DropRows(rows []int) *Basis {
+	if b == nil || len(rows) == 0 {
+		return b
+	}
+	// newSlack[r] is the new column of row r's slack, -1 when dropped.
+	newSlack := make([]int32, b.m)
+	for _, r := range rows {
+		if r < 0 || r >= b.m || b.status[b.n+r] != basic {
+			return nil
+		}
+		newSlack[r] = -1
+	}
+	nb := &Basis{n: b.n, status: make([]varStatus, b.n, b.n+b.m)}
+	copy(nb.status, b.status[:b.n])
+	for r := range newSlack {
+		if newSlack[r] < 0 {
+			continue
+		}
+		newSlack[r] = int32(b.n + nb.m)
+		nb.status = append(nb.status, b.status[b.n+r])
+		nb.m++
+	}
+	nb.basicIn = make([]int32, 0, nb.m)
+	for _, j := range b.basicIn {
+		if int(j) >= b.n {
+			if j = newSlack[int(j)-b.n]; j < 0 {
+				continue
+			}
+		}
+		nb.basicIn = append(nb.basicIn, j)
+	}
+	return nb
+}
+
 // SolveFrom solves the continuous relaxation of model starting from an
 // inherited basis instead of a cold two-phase start. The intended use
 // is branch & bound: basis came from the parent node's optimal LP and
@@ -117,12 +164,14 @@ func (b *Basis) ExtendRows(k int) *Basis {
 // dual-simplex pivots restore primal feasibility — phase 1 is skipped
 // entirely.
 //
-// The warm path is an optimization, never an oracle: whenever the basis
-// is stale (wrong shape, invalid statuses under the child bounds,
-// singular after refactorization) or dual restoration fails to reach
-// primal feasibility, SolveFrom discards it and re-runs the cold
-// two-phase path, so the result is exactly what Solve would have
-// produced. A nil basis degrades to Solve.
+// The warm path answers only with a proof: restoration either reaches
+// primal feasibility, after which phase 2 proves optimality, or stops
+// on a leaving row whose B⁻¹ row is a Farkas certificate of
+// infeasibility checked against the model data (provesInfeasible).
+// Whenever the basis is stale (wrong shape, invalid statuses under the
+// child bounds, singular after refactorization) or restoration gives up
+// without such a proof, SolveFrom discards it and re-runs the cold
+// two-phase path. A nil basis degrades to Solve.
 //
 // ctx cancels the solve as in SolveContext; a nil ctx never does.
 // Branch & bound passes context.Background(): it polls its own context
@@ -151,6 +200,9 @@ func (t *tableau) solveWarm(b *Basis) (sol *lp.Solution, done bool, err error) {
 		return &lp.Solution{Status: lp.StatusIterLimit, Iterations: t.iters, Limit: t.limit}, true, nil
 	}
 	t.warmHits = 1
+	if out == restoreInfeasible {
+		return &lp.Solution{Status: lp.StatusInfeasible, Iterations: t.iters}, true, nil
+	}
 	sol, err = t.finishPhase2()
 	return sol, true, err
 }
@@ -231,9 +283,13 @@ type dualOutcome int
 const (
 	// restoreOK: the basis is primal feasible; phase 2 may run.
 	restoreOK dualOutcome = iota
-	// restoreStale: restoration failed (no eligible column, pivot cap);
-	// the caller falls back to the cold path for the authoritative
-	// verdict — the child LP may genuinely be infeasible.
+	// restoreInfeasible: a leaving row found no entering column and its
+	// row of B⁻¹ passed provesInfeasible, so the child LP is infeasible;
+	// the warm path returns that verdict itself.
+	restoreInfeasible
+	// restoreStale: restoration gave up (no entering column without a
+	// certificate, the pivot cap, a singular refactorization); the
+	// caller falls back to the cold path for the authoritative verdict.
 	restoreStale
 	// restoreLimit: a solve-wide limit (iterations, deadline) fired;
 	// t.limit names the cause and the caller surrenders as the cold
@@ -241,16 +297,25 @@ const (
 	restoreLimit
 )
 
-// dualRestore runs bounded-variable dual simplex pivots until every
-// basic variable is back inside its bounds. The inherited basis is dual
-// feasible for the child (the cost vector and constraint matrix match
-// the parent's solve exactly; only bounds moved), so the dual ratio
-// test keeps reduced costs sign-correct while each pivot drives the
-// most-violated basic variable to its bound. Dual feasibility is an
-// efficiency argument here, not a correctness dependency: whatever
-// basis restoration ends on, finishPhase2 runs primal simplex to
-// proven optimality, and any failure to terminate is caught by the
-// pivot cap and surrendered to the cold path.
+// dualRestore runs textbook bounded-variable dual simplex pivots until
+// every basic variable is back inside its bounds. The inherited basis
+// is dual feasible for the child (the cost vector and constraint matrix
+// match the parent's solve exactly; only bounds moved). Each pivot
+// drives the most-violated basic variable to its violated bound and
+// brings in the column whose reduced cost reaches zero first, so every
+// reduced cost keeps its sign and the basis stays dual feasible. The
+// entering column always pivots in, even when the step carries it past
+// its opposite bound: it is then a basic primal infeasibility that a
+// later pivot repairs. (Flipping it to that bound instead, with no dual
+// step, would leave its reduced cost with the wrong sign there, and the
+// next row would flip it straight back.)
+//
+// A leaving row with no entering column is a proof of infeasibility
+// when its row of B⁻¹ passes provesInfeasible; otherwise, or at the
+// pivot cap, the attempt is abandoned to the cold path. Dual
+// feasibility is an efficiency argument here, not a correctness
+// dependency: whatever basis restoration ends on, finishPhase2 runs
+// primal simplex to proven optimality.
 func (t *tableau) dualRestore() (dualOutcome, error) {
 	const pivTol = tol.Pivot
 	m := t.m
@@ -258,8 +323,8 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 	t.pricedCost = t.cost
 	y := t.workRow
 	// A child differs from its parent by one bound, so restoration
-	// should take a handful of pivots; the cap bounds the cost of a
-	// degenerate or cycling case before surrendering to the cold path.
+	// takes a handful of pivots; the cap is only a safety net against
+	// a dual-degenerate cycle, after which the cold path answers.
 	maxPivots := 100 + 2*m
 	for p := 0; p < maxPivots; p++ {
 		// Leaving row: the most-violated basic bound.
@@ -321,11 +386,7 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 			if tol.Same(t.lower[j], t.upper[j]) && st != freeAtZero {
 				continue // fixed
 			}
-			c := t.cols[j]
-			alpha := 0.0
-			for k, ri := range c.rows {
-				alpha += rho[ri] * c.coefs[k]
-			}
+			alpha := t.rowAlpha(rho, j)
 			if math.Abs(alpha) <= pivTol {
 				continue
 			}
@@ -350,9 +411,13 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 			}
 		}
 		if enter < 0 {
-			// No column can repair the violation: the child LP is primal
-			// infeasible, or the basis is numerically useless. The cold
-			// path delivers the authoritative verdict either way.
+			// No column can repair the violation. In exact arithmetic
+			// that proves the child infeasible; the warm path says so
+			// only when ρ passes the certificate test on the model data,
+			// and the cold path answers otherwise.
+			if t.provesInfeasible(rho) {
+				return restoreInfeasible, nil
+			}
 			return restoreStale, nil
 		}
 
@@ -363,28 +428,6 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 		if step < 0 {
 			step = 0
 		}
-		// If the entering variable would cross its opposite bound before
-		// the violated row reaches its bound, bound-flip it (basis
-		// unchanged) and re-examine the row.
-		if rng := t.upper[enter] - t.lower[enter]; !math.IsInf(rng, 1) && rng < step {
-			t.iters++
-			t.dualPivots++
-			for i := 0; i < m; i++ {
-				if !tol.IsZero(w[i]) {
-					t.xB[i] -= enterDir * rng * w[i]
-					t.value[t.basicIn[i]] = t.xB[i]
-				}
-			}
-			if enterDir > 0 {
-				t.value[enter] = t.upper[enter]
-				t.status[enter] = atUpper
-			} else {
-				t.value[enter] = t.lower[enter]
-				t.status[enter] = atLower
-			}
-			continue
-		}
-
 		t.iters++
 		t.dualPivots++
 		for i := 0; i < m; i++ {
@@ -407,4 +450,58 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 		t.etaUpdates++
 	}
 	return restoreStale, nil
+}
+
+// rowAlpha returns ρᵀA_j, the entry of column j in the tableau row
+// whose B⁻¹ row is ρ.
+func (t *tableau) rowAlpha(rho []float64, j int) float64 {
+	c := t.cols[j]
+	alpha := 0.0
+	for k, ri := range c.rows {
+		alpha += rho[ri] * c.coefs[k]
+	}
+	return alpha
+}
+
+// provesInfeasible reports whether ρ is a Farkas certificate for the
+// model's rows A·x + s = b under the column bounds: every solution
+// satisfies Σ_j (ρᵀA_j)·x_j + Σ_i ρ_i·s_i = ρᵀb, so the LP is infeasible
+// when ρᵀb lies outside the range the left side spans over the bounds
+// of the structural and slack columns (artificials are not part of the
+// model). The test reads only ρ and the model data the tableau holds,
+// never the factorization's other output, so a stale basis can only
+// make it fail. The margin must exceed lp.FeasTol times the largest
+// finite term, which covers the rounding of the sums. An |α| ≤
+// tol.Pivot on a column with an infinite bound counts as zero, as it
+// does in the dual ratio test, so the verdict holds at the engine's
+// pivot tolerance rather than exactly.
+func (t *tableau) provesInfeasible(rho []float64) bool {
+	scale, rhs := 1.0, 0.0
+	for i, bi := range t.b {
+		term := rho[i] * bi
+		rhs += term
+		scale = math.Max(scale, math.Abs(term))
+	}
+	lo, hi := 0.0, 0.0
+	for j := 0; j < t.nStruct+t.m; j++ {
+		alpha := t.rowAlpha(rho, j)
+		l, u := t.lower[j], t.upper[j]
+		if math.Abs(alpha) <= tol.Pivot && (math.IsInf(l, -1) || math.IsInf(u, 1)) {
+			continue
+		}
+		a, b := alpha*l, alpha*u
+		if alpha < 0 {
+			a, b = b, a
+		}
+		lo += a
+		hi += b
+		if !math.IsInf(a, 0) {
+			scale = math.Max(scale, math.Abs(a))
+		}
+		if !math.IsInf(b, 0) {
+			scale = math.Max(scale, math.Abs(b))
+		}
+	}
+	eps := lp.FeasTol * scale
+	return rhs < lo-eps || rhs > hi+eps
 }

@@ -31,9 +31,22 @@ func branchLike(m *lp.Model, sol *lp.Solution, rng *rand.Rand) {
 	}
 }
 
+// installs reports whether basis installs on model: the shape and
+// status checks and the refactorization SolveFrom runs first.
+func installs(model *lp.Model, basis *Basis) bool {
+	var tb tableau
+	if err := tb.reset(model, &Options{}); err != nil {
+		return false
+	}
+	return tb.installBasis(basis)
+}
+
 // TestWarmSolveFromMatchesCold solves random parent LPs cold, branches
 // a bound, and checks that the warm-started child solve agrees with an
 // independent cold solve of the same child on status and objective.
+// Every child whose parent basis installs must be a warm hit: dual
+// restoration either reaches primal feasibility or proves the child
+// infeasible, and never gives up to the cold path.
 func TestWarmSolveFromMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	warmSolves, hits := 0, int64(0)
@@ -77,6 +90,9 @@ func TestWarmSolveFromMatchesCold(t *testing.T) {
 		h, miss := met.Counter(obs.MetricSimplexWarmHits), met.Counter(obs.MetricSimplexWarmMisses)
 		if h+miss != 1 {
 			t.Fatalf("trial %d: warm_hits %d + warm_misses %d != 1", trial, h, miss)
+		}
+		if miss == 1 && installs(child, basis) {
+			t.Fatalf("trial %d: the parent basis installs but the solve fell back cold (status %v)", trial, got.Status)
 		}
 		if h == 1 && met.Counter(obs.MetricSimplexPhase1) != 0 {
 			t.Fatalf("trial %d: hit but phase-1 pivots were counted", trial)
@@ -195,9 +211,10 @@ func TestWarmStaleBasisFallsBack(t *testing.T) {
 	}
 }
 
-// TestWarmInfeasibleChild: when the branched child is LP-infeasible the
-// warm path cannot prove it — restoration finds no eligible column and
-// the cold path must deliver the infeasibility verdict.
+// TestWarmInfeasibleChild: when the branched child is LP-infeasible,
+// restoration finds no eligible column for the violated row, and that
+// row of B⁻¹ is a Farkas certificate: the warm path itself must return
+// the infeasibility verdict, as a hit, without a cold re-solve.
 func TestWarmInfeasibleChild(t *testing.T) {
 	m := lp.NewModel("par")
 	x := m.AddContinuous("x", 0, 5, 1)
@@ -217,12 +234,149 @@ func TestWarmInfeasibleChild(t *testing.T) {
 	child.SetBounds(x, 0, 1)
 	child.SetBounds(y, 0, 1) // x+y >= 6 now impossible
 
-	sol, err := NewSolver(nil).SolveFrom(context.Background(), child, basis)
+	met := obs.NewMetrics()
+	sol, err := NewSolver(&Options{Metrics: met}).SolveFrom(context.Background(), child, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Status != lp.StatusInfeasible {
 		t.Fatalf("child status = %v, want infeasible", sol.Status)
+	}
+	if met.Counter(obs.MetricSimplexWarmHits) != 1 || met.Counter(obs.MetricSimplexWarmMisses) != 0 {
+		t.Fatalf("warm_hits = %d, warm_misses = %d, want 1/0: the warm path must prove infeasibility",
+			met.Counter(obs.MetricSimplexWarmHits), met.Counter(obs.MetricSimplexWarmMisses))
+	}
+	if met.Counter(obs.MetricSimplexPhase1) != 0 {
+		t.Fatal("phase-1 pivots recorded: the verdict came from the cold path")
+	}
+}
+
+// TestWarmRestoreNoFlipCycle is a hand-built child on which a dual
+// restoration that bound-flips its entering column cycles: x ∈ [0, 1]
+// is the min-ratio column of both violated rows, its range is shorter
+// than either row's step, and flipping it to its upper bound (no dual
+// step) makes row 2 the most violated, whose ratio test flips it back.
+//
+//	min x + 10z + 10w  s.t.  y1 − x − z = 0,  y2 + 2x − w = 0,
+//	x ∈ [0, 1],  z, w ≥ 0,  parent y1, y2 ∈ [0, 10],  child y1 ≥ 3, y2 ≥ 1
+//
+// The parent basis {y1, y2} is optimal (all duals zero). Pivoting x in
+// past its upper bound instead keeps the basis dual feasible, and the
+// restoration reaches the child optimum 40 (x = 0, z = 3, w = 1) in a
+// few pivots on the warm path.
+func TestWarmRestoreNoFlipCycle(t *testing.T) {
+	m := lp.NewModel("flip-cycle")
+	x := m.AddContinuous("x", 0, 1, 1)
+	z := m.AddContinuous("z", 0, math.Inf(1), 10)
+	w := m.AddContinuous("w", 0, math.Inf(1), 10)
+	y1 := m.AddContinuous("y1", 0, 10, 0)
+	y2 := m.AddContinuous("y2", 0, 10, 0)
+	m.AddRow("r1", []lp.Term{{Var: y1, Coef: 1}, {Var: x, Coef: -1}, {Var: z, Coef: -1}}, lp.EQ, 0)
+	m.AddRow("r2", []lp.Term{{Var: y2, Coef: 1}, {Var: x, Coef: 2}, {Var: w, Coef: -1}}, lp.EQ, 0)
+	// Columns x, z, w, y1, y2, then the two (fixed) slacks.
+	parent := &Basis{
+		n: 5, m: 2,
+		status:  []varStatus{atLower, atLower, atLower, basic, basic, atLower, atLower},
+		basicIn: []int32{3, 4},
+	}
+	if sol, err := NewSolver(nil).SolveFrom(context.Background(), m, parent); err != nil ||
+		sol.Status != lp.StatusOptimal || sol.Iterations != 0 {
+		t.Fatalf("parent basis is not optimal for the parent: %v, %+v", err, sol)
+	}
+
+	child := m.Clone()
+	child.SetBounds(y1, 3, 10)
+	child.SetBounds(y2, 1, 10)
+	met := obs.NewMetrics()
+	got, err := NewSolver(&Options{Metrics: met}).SolveFrom(context.Background(), child, parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if met.Counter(obs.MetricSimplexWarmHits) != 1 {
+		t.Fatalf("warm_hits = %d, warm_misses = %d: restoration gave up",
+			met.Counter(obs.MetricSimplexWarmHits), met.Counter(obs.MetricSimplexWarmMisses))
+	}
+	if got.Iterations > 6 {
+		t.Fatalf("warm solve took %d pivots, want a few", got.Iterations)
+	}
+	matchesExact(t, "flip-cycle child", child, got)
+}
+
+// TestWarmInfeasibleChildrenMatchExact branches random parents into
+// children, about two in five of them infeasible, and checks the warm
+// path's infeasibility verdicts against exactLP. Every row of B⁻¹ under the
+// child's bounds that provesInfeasible accepts must come from a child
+// exactLP finds infeasible — a certificate test that loses the slack
+// columns' ranges or compares against the wrong end of the range
+// accepts rows of feasible children — and every infeasible child must
+// be proved on the warm path, as a hit.
+func TestWarmInfeasibleChildrenMatchExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5150))
+	infeasible, proofs := 0, 0
+	for trial := 0; trial < 1000; trial++ {
+		var parent *lp.Model
+		if trial%2 == 0 {
+			parent = randomLP(rng, 2+rng.Intn(8), 1+rng.Intn(5))
+		} else {
+			parent = randomBoxLP(rng)
+		}
+		s := NewSolver(nil)
+		psol, err := s.Solve(parent)
+		if err != nil {
+			t.Fatalf("trial %d: parent solve: %v", trial, err)
+		}
+		if psol.Status != lp.StatusOptimal {
+			continue
+		}
+		basis := s.Basis()
+		if basis == nil {
+			continue
+		}
+		// Fix one to three variables at an end of their range, which
+		// often leaves the child infeasible.
+		child := parent.Clone()
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			j := lp.VarID(rng.Intn(child.NumVars()))
+			v := child.Var(j)
+			if rng.Intn(2) == 0 {
+				child.SetBounds(j, v.Upper, v.Upper)
+			} else {
+				child.SetBounds(j, v.Lower, v.Lower)
+			}
+		}
+		want, _ := exactLP(child)
+
+		var tb tableau
+		if err := tb.reset(child, &Options{}); err != nil {
+			t.Fatalf("trial %d: reset: %v", trial, err)
+		}
+		if !tb.installBasis(basis) {
+			t.Fatalf("trial %d: the parent basis does not install on its child", trial)
+		}
+		for r := 0; r < tb.m; r++ {
+			if tb.provesInfeasible(tb.binvRow(r)) {
+				if want != lp.StatusInfeasible {
+					t.Fatalf("trial %d: row %d of B⁻¹ certifies infeasibility, exact status %v", trial, r, want)
+				}
+				proofs++
+			}
+		}
+
+		met := obs.NewMetrics()
+		got, err := NewSolver(&Options{Metrics: met}).SolveFrom(context.Background(), child, basis)
+		if err != nil {
+			t.Fatalf("trial %d: warm solve: %v", trial, err)
+		}
+		matchesExact(t, "warm child", child, got)
+		if want == lp.StatusInfeasible {
+			infeasible++
+			if met.Counter(obs.MetricSimplexWarmHits) != 1 {
+				t.Fatalf("trial %d: infeasible child fell back cold instead of a warm proof", trial)
+			}
+		}
+	}
+	if infeasible < 150 || proofs < 150 {
+		t.Fatalf("only %d infeasible children and %d certifying rows: family too easy", infeasible, proofs)
 	}
 }
 

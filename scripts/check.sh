@@ -54,7 +54,8 @@
 #                  identical plan cost block (root cuts run in the
 #                  sequential root phase, so worker count must not leak
 #                  into the answer); at -gap 1e-4 the -dr solve must
-#                  separate cuts and branch, or the stage checks nothing
+#                  separate cuts and branch, or the stage checks nothing,
+#                  and its warm starts must all be hits (no warm misses)
 #  13. etserve smoke: boot the planning daemon on a random port, submit
 #                  the smoke state over HTTP, poll to done, fetch the
 #                  plan and compare it to the etransform CLI's plan for
@@ -234,6 +235,16 @@ done
 if ! jq -e '.counters["milp.cuts_separated"] > 0 and .counters["milp.nodes"] > 0' \
     "$SMOKE_DIR/metrics_w1.json" > /dev/null; then
     echo "the -dr smoke solve no longer cuts and branches" >&2
+    exit 1
+fi
+# Every warm-started LP of that solve (root cut re-solves, dives, node
+# LPs) must finish on the warm path: dual restoration reaches primal
+# feasibility or proves the LP infeasible, and never re-solves cold.
+if ! jq -e '.counters["simplex.warm_hits"] > 0 and (.counters["simplex.warm_misses"] // 0) == 0' \
+    "$SMOKE_DIR/metrics_w1.json" > /dev/null; then
+    echo "the -dr smoke solve has no warm hits or re-solved a warm start cold:" >&2
+    jq -c '.counters | {warm_hits: .["simplex.warm_hits"], warm_misses: .["simplex.warm_misses"]}' \
+        "$SMOKE_DIR/metrics_w1.json" >&2
     exit 1
 fi
 echo "    plan cost identical at -workers 1 vs 4, without and with -dr"
