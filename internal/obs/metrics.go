@@ -23,9 +23,10 @@ const (
 	// Warm-start counters (basis reuse across branch & bound nodes).
 	// A hit is a solve completed from an inherited basis with phase 1
 	// skipped; a miss is a solve that was offered a basis but fell back
-	// to the cold two-phase path (stale, singular, or primal-infeasible
-	// restoration). DualPivots counts the dual-simplex pivots spent
-	// restoring primal feasibility; they are also included in
+	// to the two-phase path (a basis that does not install, or a
+	// restoration that gives up). A cold solve's slack start is neither.
+	// DualPivots counts the dual-simplex pivots spent restoring primal
+	// feasibility from either start; they are also included in
 	// MetricSimplexPivots so pivot totals reconcile with iterations.
 	MetricSimplexWarmHits   = "simplex.warm_hits"
 	MetricSimplexWarmMisses = "simplex.warm_misses"

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/etransform/etransform/internal/lp"
+	"github.com/etransform/etransform/internal/obs"
 	"github.com/etransform/etransform/internal/resilience/faultinject"
 )
 
@@ -119,5 +120,60 @@ func TestSolveContextBackgroundMatchesSolve(t *testing.T) {
 	if a.Objective != b.Objective || a.Iterations != b.Iterations {
 		t.Errorf("SolveContext diverges from Solve: (%v, %d) vs (%v, %d)",
 			b.Objective, b.Iterations, a.Objective, a.Iterations)
+	}
+}
+
+// restorationChild returns a child LP and its parent's optimal basis
+// such that SolveFrom restores the child with one dual pivot and
+// finishes without a primal pivot: the parent min x + 2y, x + y ≥ 1
+// rests at x = 1, and the child's x ≤ 0.5 brings y in at 0.5.
+func restorationChild(t *testing.T) (*lp.Model, *Basis) {
+	t.Helper()
+	m := lp.NewModel("restore")
+	x := m.AddContinuous("x", 0, 3, 1)
+	y := m.AddContinuous("y", 0, 3, 2)
+	m.AddRow("need", []lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, 1)
+	s := NewSolver(nil)
+	if sol, err := s.Solve(m); err != nil || sol.Status != lp.StatusOptimal {
+		t.Fatalf("parent: %v, %v", sol, err)
+	}
+	child := m.Clone()
+	child.SetBounds(x, 0, 0.5)
+	met := obs.NewMetrics()
+	sol, err := NewSolver(&Options{Metrics: met}).SolveFrom(context.Background(), child, s.Basis())
+	if err != nil || sol.Status != lp.StatusOptimal || math.Abs(sol.Objective-1.5) > 1e-9 {
+		t.Fatalf("clean child: %v, %v, want optimal 1.5", sol, err)
+	}
+	if dual := met.Counter(obs.MetricSimplexDualPivots); dual == 0 || dual != int64(sol.Iterations) {
+		t.Fatalf("clean child took %d pivots, %d of them dual: want dual pivots only", sol.Iterations, dual)
+	}
+	return child, s.Basis()
+}
+
+// TestInjectedPivotFailureInDualRestoration: the pivot site fires on
+// dual restoration pivots as on primal ones, so an armed fault lands in
+// a warm start that takes no primal pivot.
+func TestInjectedPivotFailureInDualRestoration(t *testing.T) {
+	child, basis := restorationChild(t)
+	inj := faultinject.New(1, faultinject.Fault{Kind: faultinject.KindPivot, After: 0})
+	sol, err := NewSolver(&Options{Inject: inj}).SolveFrom(context.Background(), child, basis)
+	if err == nil || !strings.Contains(err.Error(), "injected pivot failure") {
+		t.Fatalf("got %v, %v; want the injected pivot failure", sol, err)
+	}
+}
+
+// TestInjectedStallInDualRestoration: the stall site fires once per
+// restoration iteration, so an armed stall surrenders before the first
+// dual pivot instead of in phase 2.
+func TestInjectedStallInDualRestoration(t *testing.T) {
+	child, basis := restorationChild(t)
+	inj := faultinject.New(1, faultinject.Fault{Kind: faultinject.KindStall, After: 0})
+	sol, err := NewSolver(&Options{Inject: inj}).SolveFrom(context.Background(), child, basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != lp.StatusIterLimit || sol.Limit != lp.LimitIterations || sol.Iterations != 0 {
+		t.Fatalf("got (%v, %q, %d pivots), want an iteration limit before the first pivot",
+			sol.Status, sol.Limit, sol.Iterations)
 	}
 }

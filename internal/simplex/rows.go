@@ -40,8 +40,8 @@ type TableauView struct {
 // TableauView returns a view of the optimal tableau left behind by the
 // Solver's most recent solve, or nil when there is nothing to read: the
 // last solve did not end StatusOptimal, or an artificial column is
-// still basic (possible only in degenerate cases — the same condition
-// under which Basis returns nil).
+// still basic (possible only in degenerate cases after a two-phase
+// start — the same condition under which Basis returns nil).
 func (s *Solver) TableauView() *TableauView {
 	t := &s.t
 	if !t.lastOptimal {

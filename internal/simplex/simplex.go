@@ -15,8 +15,8 @@ import (
 // Options control a solve. The zero value is usable: sensible defaults
 // are applied for every unset field.
 type Options struct {
-	// MaxIters caps total simplex pivots across both phases.
-	// Default 50000 + 100×rows.
+	// MaxIters caps total simplex pivots of a solve: dual restoration
+	// and both primal phases. Default 50000 + 100×rows.
 	MaxIters int
 	// Bland forces Bland's rule from the first pivot (slower, cycle-proof).
 	Bland bool
@@ -32,7 +32,8 @@ type Options struct {
 	Inject *faultinject.Injector
 	// Trace, when non-nil, receives phase start/end events (obs.Kind
 	// Phase*). The pivot loop itself never emits: events bracket whole
-	// phases, so a solve costs at most four emissions.
+	// phases, so a solve costs at most four emissions, and a dual start
+	// (warm or slack) emits only the phase-2 pair.
 	Trace *obs.Tracer
 	// Metrics, when non-nil, receives per-solve counters (pivots,
 	// degenerate pivots, Bland switches, factorizations) folded once
@@ -48,8 +49,9 @@ type Options struct {
 	refactorEvery int
 }
 
-// stallLimit is the number of consecutive degenerate pivots tolerated
-// before switching to Bland's rule.
+// stallLimit is the number of consecutive degenerate pivots tolerated:
+// the primal loop then switches to Bland's rule, and the dual
+// restoration gives up to the two-phase path (see dualRestore).
 const stallLimit = 60
 
 func (o *Options) withDefaults(rows int) Options {
@@ -167,18 +169,24 @@ type tableau struct {
 	refactors int
 	// Per-solve observability counters, folded into opts.Metrics once
 	// after the solve (see foldMetrics). Local ints keep the pivot loop
-	// free of registry calls even when metrics are armed.
+	// free of registry calls even when metrics are armed. degenTotal
+	// counts the pivots that leave their loop's objective where it was:
+	// primal steps of zero length and dual steps of zero ratio.
 	p1Iters    int
 	degenTotal int
 	blandFlips int
 	// Warm-start counters (see warm.go). warmHits marks a solve that
-	// completed on the warm path (phase 1 skipped); warmMisses marks a
-	// solve that was offered a basis but ran the cold two-phase path;
-	// dualPivots counts dual-simplex restoration pivots (also included in
+	// completed from an inherited basis (phase 1 skipped); warmMisses
+	// marks a solve that was offered a basis but ran the two-phase path;
+	// a cold solve's slack start is neither. dualPivots counts
+	// dual-simplex restoration pivots of either start (also included in
 	// iters, so pivot totals keep reconciling with Solution.Iterations).
 	warmHits   int
 	warmMisses int
 	dualPivots int
+	// slack is the scratch all-slack basis of a cold dual start
+	// (slackBasis), reused across solves like the slices above.
+	slack Basis
 	// Linear-algebra counters: basis factorizations (initial, periodic
 	// and recovery), eta updates appended between them, columns examined
 	// by pricing, and the worst relative primal drift observed at a
@@ -325,6 +333,9 @@ func initialValueFor(lo, hi float64) (float64, varStatus) {
 	}
 }
 
+// solve runs the two-phase path on the freshly reset tableau: an
+// all-artificial basis, phase 1 when a row's initial residual is
+// nonzero, then phase 2.
 func (t *tableau) solve() (*lp.Solution, error) {
 	n, m := t.nStruct, t.m
 
@@ -406,9 +417,10 @@ func (t *tableau) solve() (*lp.Solution, error) {
 }
 
 // finishPhase2 runs phase 2 from the current (primal-feasible) basis and
-// extracts the solution. It is the shared tail of the cold path (after
-// phase 1) and the warm path (after dual-simplex restoration); the
-// artificials must already be frozen at [0,0].
+// extracts the solution. It is the shared tail of the two-phase path
+// (after phase 1) and the dual path (after dual-simplex restoration from
+// an inherited or a slack basis); the artificials must already be
+// frozen at [0,0].
 func (t *tableau) finishPhase2() (*lp.Solution, error) {
 	n, m := t.nStruct, t.m
 	t.phase = 2
@@ -736,9 +748,9 @@ func (t *tableau) foldMetrics() {
 	m.Add(obs.MetricSimplexDegenerate, int64(t.degenTotal))
 	m.Add(obs.MetricSimplexBland, int64(t.blandFlips))
 	m.Observe(obs.MetricHistPivotsPerSolve, float64(t.iters))
-	// Warm counters are folded only when nonzero: Add creates the key
-	// even for a zero delta, and cold-only runs must not grow their
-	// metric snapshots (golden traces pin those snapshots byte-stable).
+	// Warm and dual counters are folded only when nonzero: Add creates
+	// the key even for a zero delta, and runs that never take the path
+	// a counter measures must not grow their metric snapshots.
 	if t.warmHits > 0 {
 		m.Add(obs.MetricSimplexWarmHits, int64(t.warmHits))
 	}

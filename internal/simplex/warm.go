@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/etransform/etransform/internal/lp"
+	"github.com/etransform/etransform/internal/resilience/faultinject"
 	"github.com/etransform/etransform/internal/tol"
 )
 
@@ -21,7 +22,8 @@ import (
 //   - the artificial columns — their orientation depends on the initial
 //     residuals of the solve that produced them, so a snapshot that
 //     included one would not be reinstallable; Solver.Basis returns nil
-//     in the (degenerate) case where an artificial is still basic.
+//     in the (degenerate) case where an artificial is still basic,
+//     which only a two-phase start can leave behind.
 //
 // A Basis holds no reference to the tableau or model it came from: it
 // can outlive both, be shared by any number of concurrent SolveFrom
@@ -47,7 +49,8 @@ func (b *Basis) MemBytes() int64 {
 // Basis returns a snapshot of the optimal basis left behind by the
 // Solver's most recent solve, or nil when no warm-startable basis is
 // available: the last solve did not end StatusOptimal, or an artificial
-// column is still basic (possible only in degenerate cases). The
+// column is still basic (possible only in degenerate cases after a
+// two-phase start; a dual start never makes an artificial basic). The
 // snapshot is independent of the Solver and remains valid across its
 // subsequent solves.
 func (s *Solver) Basis() *Basis {
@@ -157,10 +160,10 @@ func (b *Basis) DropRows(rows []int) *Basis {
 }
 
 // SolveFrom solves the continuous relaxation of model starting from an
-// inherited basis instead of a cold two-phase start. The intended use
-// is branch & bound: basis came from the parent node's optimal LP and
-// model differs from the parent only in variable bounds, so the basis
-// stays dual feasible (costs and coefficients are unchanged) and a few
+// inherited basis instead of a cold start. The intended use is branch &
+// bound: basis came from the parent node's optimal LP and model differs
+// from the parent only in variable bounds, so the basis stays dual
+// feasible (costs and coefficients are unchanged) and a few
 // dual-simplex pivots restore primal feasibility — phase 1 is skipped
 // entirely.
 //
@@ -170,8 +173,8 @@ func (b *Basis) DropRows(rows []int) *Basis {
 // infeasibility checked against the model data (provesInfeasible).
 // Whenever the basis is stale (wrong shape, invalid statuses under the
 // child bounds, singular after refactorization) or restoration gives up
-// without such a proof, SolveFrom discards it and re-runs the cold
-// two-phase path. A nil basis degrades to Solve.
+// without such a proof, SolveFrom discards it and re-runs the two-phase
+// path. A nil basis degrades to Solve.
 //
 // ctx cancels the solve as in SolveContext; a nil ctx never does.
 // Branch & bound passes context.Background(): it polls its own context
@@ -181,11 +184,51 @@ func (s *Solver) SolveFrom(ctx context.Context, model *lp.Model, basis *Basis) (
 	return s.solve(ctx, model, basis)
 }
 
-// solveWarm attempts the warm path from basis b on the freshly reset
-// tableau. done reports that the attempt produced a final outcome
-// (solution or error) and the caller must not run the cold path; done
-// false means the basis was stale and the caller should restart cold.
-func (t *tableau) solveWarm(b *Basis) (sol *lp.Solution, done bool, err error) {
+// slackBasis returns the all-slack basis of the freshly reset tableau
+// when it is dual feasible, and nil otherwise. With every slack basic
+// the duals are zero and each structural's reduced cost is its cost, so
+// a column with positive cost rests at its finite lower bound, one with
+// negative cost at its finite upper bound, and a zero-cost column
+// wherever initialValueFor puts it. A nonzero-cost column without the
+// bound its sign needs (a negative cost unbounded above, a positive
+// cost unbounded below, a free column) leaves no dual feasible slack
+// basis, and the cold start runs the two-phase path instead. The
+// returned Basis is tableau scratch, valid until the next call.
+func (t *tableau) slackBasis() *Basis {
+	n, m := t.nStruct, t.m
+	b := &t.slack
+	b.n, b.m = n, m
+	b.status = reuseStatus(b.status, n+m)
+	b.basicIn = reuseI32(b.basicIn, m)
+	for j := 0; j < n; j++ {
+		lo, hi, c := t.lower[j], t.upper[j], t.cost[j]
+		switch {
+		case c > 0 && !math.IsInf(lo, -1):
+			b.status[j] = atLower
+		case c < 0 && !math.IsInf(hi, 1):
+			b.status[j] = atUpper
+		case tol.IsZero(c):
+			_, b.status[j] = initialValueFor(lo, hi)
+		default:
+			return nil
+		}
+	}
+	for r := 0; r < m; r++ {
+		b.status[n+r] = basic
+		b.basicIn[r] = int32(n + r)
+	}
+	return b
+}
+
+// solveDual runs the dual path from basis b on the freshly reset
+// tableau: install b, restore primal feasibility by dual simplex
+// pivots, then finish in phase 2. b is an inherited basis (SolveFrom)
+// or the slack basis of a cold start; inherited says which, because
+// only an inherited basis counts as a warm hit. done reports that the
+// attempt produced a final outcome (solution or error) and the caller
+// must not run the two-phase path; done false means the basis did not
+// install or restoration gave up, and the caller restarts two-phase.
+func (t *tableau) solveDual(b *Basis, inherited bool) (sol *lp.Solution, done bool, err error) {
 	if !t.installBasis(b) {
 		return nil, false, nil
 	}
@@ -199,7 +242,9 @@ func (t *tableau) solveWarm(b *Basis) (sol *lp.Solution, done bool, err error) {
 	case restoreLimit:
 		return &lp.Solution{Status: lp.StatusIterLimit, Iterations: t.iters, Limit: t.limit}, true, nil
 	}
-	t.warmHits = 1
+	if inherited {
+		t.warmHits = 1
+	}
 	if out == restoreInfeasible {
 		return &lp.Solution{Status: lp.StatusInfeasible, Iterations: t.iters}, true, nil
 	}
@@ -284,35 +329,41 @@ const (
 	// restoreOK: the basis is primal feasible; phase 2 may run.
 	restoreOK dualOutcome = iota
 	// restoreInfeasible: a leaving row found no entering column and its
-	// row of B⁻¹ passed provesInfeasible, so the child LP is infeasible;
-	// the warm path returns that verdict itself.
+	// row of B⁻¹ passed provesInfeasible, so the LP is infeasible; the
+	// dual path returns that verdict itself.
 	restoreInfeasible
 	// restoreStale: restoration gave up (no entering column without a
-	// certificate, the pivot cap, a singular refactorization); the
-	// caller falls back to the cold path for the authoritative verdict.
+	// certificate, the dual-degenerate guard, a singular
+	// refactorization); the caller falls back to the two-phase path for
+	// the authoritative verdict.
 	restoreStale
-	// restoreLimit: a solve-wide limit (iterations, deadline) fired;
-	// t.limit names the cause and the caller surrenders as the cold
-	// path would.
+	// restoreLimit: a solve-wide limit (iterations, deadline) or an
+	// injected stall fired; t.limit names the cause and the caller
+	// surrenders as the two-phase path would.
 	restoreLimit
 )
 
 // dualRestore runs textbook bounded-variable dual simplex pivots until
-// every basic variable is back inside its bounds. The inherited basis
-// is dual feasible for the child (the cost vector and constraint matrix
-// match the parent's solve exactly; only bounds moved). Each pivot
-// drives the most-violated basic variable to its violated bound and
-// brings in the column whose reduced cost reaches zero first, so every
-// reduced cost keeps its sign and the basis stays dual feasible. The
-// entering column always pivots in, even when the step carries it past
-// its opposite bound: it is then a basic primal infeasibility that a
-// later pivot repairs. (Flipping it to that bound instead, with no dual
-// step, would leave its reduced cost with the wrong sign there, and the
-// next row would flip it straight back.)
+// every basic variable is back inside its bounds. The installed basis
+// is dual feasible: an inherited one because the cost vector and
+// constraint matrix match the parent's solve exactly (only bounds
+// moved), the slack basis of a cold start by construction
+// (slackBasis). Each pivot drives the most-violated basic variable to
+// its violated bound and brings in the column whose reduced cost
+// reaches zero first, so every reduced cost keeps its sign and the
+// basis stays dual feasible. The entering column always pivots in, even
+// when the step carries it past its opposite bound: it is then a basic
+// primal infeasibility that a later pivot repairs. (Flipping it to that
+// bound instead, with no dual step, would leave its reduced cost with
+// the wrong sign there, and the next row would flip it straight back.)
 //
 // A leaving row with no entering column is a proof of infeasibility
-// when its row of B⁻¹ passes provesInfeasible; otherwise, or at the
-// pivot cap, the attempt is abandoned to the cold path. Dual
+// when its row of B⁻¹ passes provesInfeasible. Otherwise, or after more
+// than stallLimit consecutive dual-degenerate pivots (a min ratio
+// within tol.Tie of zero: the dual objective does not move, and the
+// loop has no anti-cycling rule of its own), the attempt is abandoned
+// to the two-phase path, whose primal loop falls back to Bland's rule.
+// Options.MaxIters bounds the whole solve, restoration included. Dual
 // feasibility is an efficiency argument here, not a correctness
 // dependency: whatever basis restoration ends on, finishPhase2 runs
 // primal simplex to proven optimality.
@@ -322,11 +373,7 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 	t.phase = 2
 	t.pricedCost = t.cost
 	y := t.workRow
-	// A child differs from its parent by one bound, so restoration
-	// takes a handful of pivots; the cap is only a safety net against
-	// a dual-degenerate cycle, after which the cold path answers.
-	maxPivots := 100 + 2*m
-	for p := 0; p < maxPivots; p++ {
+	for {
 		// Leaving row: the most-violated basic bound.
 		r, toLower, worst := -1, false, lp.FeasTol
 		for i := 0; i < m; i++ {
@@ -352,6 +399,11 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 		}
 		if !t.opts.Deadline.IsZero() && time.Now().After(t.opts.Deadline) {
 			t.limit = lp.LimitWallClock
+			return restoreLimit, nil
+		}
+		if t.opts.Inject.Fire(faultinject.SiteStall) {
+			// Injected cycling, surrendered as the primal loop does.
+			t.limit = lp.LimitIterations
 			return restoreLimit, nil
 		}
 		// Restoration can run past the eta-file cap; collapse the file on
@@ -412,13 +464,25 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 		}
 		if enter < 0 {
 			// No column can repair the violation. In exact arithmetic
-			// that proves the child infeasible; the warm path says so
-			// only when ρ passes the certificate test on the model data,
-			// and the cold path answers otherwise.
+			// that proves the LP infeasible; the dual path says so only
+			// when ρ passes the certificate test on the model data, and
+			// the two-phase path answers otherwise.
 			if t.provesInfeasible(rho) {
 				return restoreInfeasible, nil
 			}
 			return restoreStale, nil
+		}
+		if t.opts.Inject.Fire(faultinject.SitePivot) {
+			return 0, fmt.Errorf("simplex: injected pivot failure at iteration %d (fault injection)", t.iters)
+		}
+		if bestRatio <= tol.Tie {
+			t.degenRun++
+			t.degenTotal++
+			if t.degenRun > stallLimit {
+				return restoreStale, nil
+			}
+		} else {
+			t.degenRun = 0
 		}
 
 		t.ftran(enter)
@@ -449,7 +513,6 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 		t.la.etas.push(r, w)
 		t.etaUpdates++
 	}
-	return restoreStale, nil
 }
 
 // rowAlpha returns ρᵀA_j, the entry of column j in the tableau row

@@ -475,3 +475,160 @@ func TestWarmBasisOutlivesSolver(t *testing.T) {
 		t.Fatal("MemBytes must be positive for a real basis")
 	}
 }
+
+// TestColdSolveStartsDual: an LP with nonnegative costs and finite
+// lower bounds has a dual feasible all-slack basis, so a cold solve
+// starts there and restores primal feasibility by dual simplex: no
+// phase-1 pivot, neither a warm hit nor a miss, and the answer of
+// exactLP, infeasible verdicts included.
+func TestColdSolveStartsDual(t *testing.T) {
+	rng := rand.New(rand.NewSource(6061))
+	restored, infeasible := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		m := randomLP(rng, 1+rng.Intn(10), 1+rng.Intn(8))
+		for j := 0; j < m.NumVars(); j++ {
+			m.SetCost(lp.VarID(j), math.Abs(m.Var(lp.VarID(j)).Cost))
+		}
+		met := obs.NewMetrics()
+		sol, err := Solve(m, &Options{Metrics: met})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		matchesExact(t, "slack start", m, sol)
+		if p1 := met.Counter(obs.MetricSimplexPhase1); p1 != 0 {
+			t.Fatalf("trial %d: %d phase-1 pivots: the solve did not start dual", trial, p1)
+		}
+		if h, miss := met.Counter(obs.MetricSimplexWarmHits), met.Counter(obs.MetricSimplexWarmMisses); h+miss != 0 {
+			t.Fatalf("trial %d: warm_hits %d, warm_misses %d on a cold solve", trial, h, miss)
+		}
+		if met.Counter(obs.MetricSimplexPivots) != int64(sol.Iterations) {
+			t.Fatalf("trial %d: folded pivots %d != solution iterations %d",
+				trial, met.Counter(obs.MetricSimplexPivots), sol.Iterations)
+		}
+		if met.Counter(obs.MetricSimplexDualPivots) > 0 {
+			restored++
+		}
+		if sol.Status == lp.StatusInfeasible {
+			infeasible++
+		}
+	}
+	if restored < 200 || infeasible < 100 {
+		t.Fatalf("%d solves took dual pivots and %d were infeasible: family too easy", restored, infeasible)
+	}
+}
+
+// TestColdSolveWithoutDualSlackBasis: a column whose cost sign has no
+// finite bound to rest at (a negative cost unbounded above, or a free
+// column with a nonzero cost) leaves no dual feasible slack basis, and
+// the cold solve runs the two-phase path, matching exactLP.
+func TestColdSolveWithoutDualSlackBasis(t *testing.T) {
+	rng := rand.New(rand.NewSource(6062))
+	phase1 := 0
+	for trial := 0; trial < 300; trial++ {
+		m := randomLP(rng, 1+rng.Intn(10), 1+rng.Intn(8))
+		j := lp.VarID(rng.Intn(m.NumVars()))
+		cost := float64(1 + rng.Intn(10))
+		if trial%2 == 0 {
+			m.SetBounds(j, 0, math.Inf(1))
+			m.SetCost(j, -cost)
+		} else {
+			m.SetBounds(j, math.Inf(-1), math.Inf(1))
+			m.SetCost(j, cost*float64(2*rng.Intn(2)-1))
+		}
+		var tb tableau
+		if err := tb.reset(m, &Options{}); err != nil {
+			t.Fatalf("trial %d: reset: %v", trial, err)
+		}
+		if tb.slackBasis() != nil {
+			t.Fatalf("trial %d: column %d (cost %v) has no bound to rest at, yet the slack basis is dual feasible",
+				trial, j, m.Var(j).Cost)
+		}
+		met := obs.NewMetrics()
+		sol, err := Solve(m, &Options{Metrics: met})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		matchesExact(t, "two-phase start", m, sol)
+		if d := met.Counter(obs.MetricSimplexDualPivots); d != 0 {
+			t.Fatalf("trial %d: %d dual pivots on a two-phase start", trial, d)
+		}
+		if met.Counter(obs.MetricSimplexPhase1) > 0 {
+			phase1++
+		}
+	}
+	if phase1 < 250 {
+		t.Fatalf("only %d solves ran phase 1: family too easy", phase1)
+	}
+}
+
+// degenerateCoverLP is min 0 s.t. x_i + y_i ≥ 1 for k rows, with x_i ∈
+// [xLo, 1] and y_i ∈ [0, 1]. Every cost is zero, so every dual ratio is
+// zero, and at xLo = 0 each row takes one dual-degenerate pivot.
+func degenerateCoverLP(k int, xLo float64) *lp.Model {
+	m := lp.NewModel("degenerate-cover")
+	for i := 0; i < k; i++ {
+		x := m.AddContinuous("", xLo, 1, 0)
+		y := m.AddContinuous("", 0, 1, 0)
+		m.AddRow("", []lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, 1)
+	}
+	return m
+}
+
+// TestDualDegenerateGuard: more than stallLimit consecutive
+// dual-degenerate pivots abandon a dual start, slack or inherited, to
+// the two-phase path. degenerateCoverLP with stallLimit rows restores
+// dual; one row more trips the guard on its last pivot.
+func TestDualDegenerateGuard(t *testing.T) {
+	under := degenerateCoverLP(stallLimit, 0)
+	met := obs.NewMetrics()
+	sol, err := Solve(under, &Options{Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchesExact(t, "under the guard", under, sol)
+	if met.Counter(obs.MetricSimplexPhase1) != 0 || met.Counter(obs.MetricSimplexDualPivots) != stallLimit {
+		t.Fatalf("%d rows: %d dual and %d phase-1 pivots, want %d dual and none in phase 1", stallLimit,
+			met.Counter(obs.MetricSimplexDualPivots), met.Counter(obs.MetricSimplexPhase1), stallLimit)
+	}
+
+	over := degenerateCoverLP(stallLimit+1, 0)
+	var tb tableau
+	if err := tb.reset(over, &Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if !tb.installBasis(tb.slackBasis()) {
+		t.Fatal("the slack basis does not install")
+	}
+	if out, err := tb.dualRestore(); err != nil || out != restoreStale || tb.degenRun != stallLimit+1 {
+		t.Fatalf("restoration ended %v (err %v) after a dual-degenerate run of %d, want the guard at %d",
+			out, err, tb.degenRun, stallLimit+1)
+	}
+	met = obs.NewMetrics()
+	sol, err = Solve(over, &Options{Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchesExact(t, "slack start over the guard", over, sol)
+	if met.Counter(obs.MetricSimplexPhase1) == 0 || met.Counter(obs.MetricSimplexDualPivots) != 0 {
+		t.Fatalf("%d rows: %d dual and %d phase-1 pivots, want the two-phase path", stallLimit+1,
+			met.Counter(obs.MetricSimplexDualPivots), met.Counter(obs.MetricSimplexPhase1))
+	}
+
+	// The inherited case: the parent fixes every x_i at 1, where the
+	// slack basis is optimal; the child frees x_i down to 0, and each
+	// row then takes a dual-degenerate pivot.
+	s := NewSolver(nil)
+	if psol, err := s.Solve(degenerateCoverLP(stallLimit+1, 1)); err != nil || psol.Status != lp.StatusOptimal {
+		t.Fatalf("parent: %v, %v", psol, err)
+	}
+	met = obs.NewMetrics()
+	sol, err = NewSolver(&Options{Metrics: met}).SolveFrom(context.Background(), over, s.Basis())
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchesExact(t, "warm start over the guard", over, sol)
+	if met.Counter(obs.MetricSimplexWarmMisses) != 1 {
+		t.Fatalf("warm_hits %d, warm_misses %d: the guard must send the warm start two-phase",
+			met.Counter(obs.MetricSimplexWarmHits), met.Counter(obs.MetricSimplexWarmMisses))
+	}
+}

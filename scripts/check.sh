@@ -55,7 +55,9 @@
 #                  sequential root phase, so worker count must not leak
 #                  into the answer); at -gap 1e-4 the -dr solve must
 #                  separate cuts and branch, or the stage checks nothing,
-#                  and its warm starts must all be hits (no warm misses)
+#                  its warm starts must all be hits (no warm misses), and
+#                  it must take no phase-1 pivot: every LP of the solve,
+#                  the root included, starts dual
 #  13. etserve smoke: boot the planning daemon on a random port, submit
 #                  the smoke state over HTTP, poll to done, fetch the
 #                  plan and compare it to the etransform CLI's plan for
@@ -240,10 +242,14 @@ fi
 # Every warm-started LP of that solve (root cut re-solves, dives, node
 # LPs) must finish on the warm path: dual restoration reaches primal
 # feasibility or proves the LP infeasible, and never re-solves cold.
-if ! jq -e '.counters["simplex.warm_hits"] > 0 and (.counters["simplex.warm_misses"] // 0) == 0' \
+# The root LP starts dual from the all-slack basis, so no LP of the
+# solve runs phase 1.
+if ! jq -e '.counters["simplex.warm_hits"] > 0 and (.counters["simplex.warm_misses"] // 0) == 0
+    and (.counters["simplex.phase1_pivots"] // 0) == 0' \
     "$SMOKE_DIR/metrics_w1.json" > /dev/null; then
-    echo "the -dr smoke solve has no warm hits or re-solved a warm start cold:" >&2
-    jq -c '.counters | {warm_hits: .["simplex.warm_hits"], warm_misses: .["simplex.warm_misses"]}' \
+    echo "the -dr smoke solve has no warm hits, re-solved a warm start cold or ran phase 1:" >&2
+    jq -c '.counters | {warm_hits: .["simplex.warm_hits"], warm_misses: .["simplex.warm_misses"],
+        phase1_pivots: .["simplex.phase1_pivots"]}' \
         "$SMOKE_DIR/metrics_w1.json" >&2
     exit 1
 fi
