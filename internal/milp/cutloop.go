@@ -57,7 +57,7 @@ func (c *coordinator) rootGapOpen(bound float64) bool {
 // model, and re-solve through the warm-start path — the previous basis
 // extended by one slack per new row stays dual feasible ([B 0; C I] is
 // block lower triangular with zero-cost slacks), so each re-solve is a
-// handful of dual pivots, not a fresh two-phase solve.
+// handful of dual pivots, not a fresh solve from the slack basis.
 //
 // After the rounds, cuts the pool retired (slack for MaxAge consecutive
 // re-solves) are dropped and the survivors become c.cutModel, the model

@@ -64,8 +64,8 @@ type Options struct {
 	WarmStarts [][]float64
 	// Deprecated: ignored. Every node LP and dive pass is warm-started
 	// from its parent's optimal basis (simplex.Solver.SolveFrom, which
-	// falls back to the cold two-phase solve when the basis is stale);
-	// the field no longer selects anything and will be removed.
+	// falls back to the all-slack start when the basis is stale); the
+	// field no longer selects anything and will be removed.
 	ReuseBasis bool
 	// Trace, when non-nil, receives structured solve events: solve
 	// start/end, incumbent installs, global-bound improvements, plus the

@@ -1,8 +1,9 @@
 // Package simplex implements a bounded-variable revised simplex solver
-// for the linear programs emitted by the eTransform planner: a dual
-// simplex restores primal feasibility from a dual feasible starting
-// basis, and a primal simplex, two-phase when no such basis exists,
-// finishes every solve. It is the repository's substitute for the CPLEX
+// for the linear programs emitted by the eTransform planner: every
+// solve installs a starting basis, a dual simplex restores primal
+// feasibility when that basis is dual feasible, and a primal simplex
+// runs phase 1 on whatever infeasibility is left and phase 2 to the
+// optimum. It is the repository's substitute for the CPLEX
 // LP engine used in the paper (§V): the planner builds a standard
 // LP/MILP and any exact solver — this one, or an external one via the
 // LP-file interchange in package lp — produces the same optimum.
@@ -39,44 +40,48 @@
 // degenerate pivots the solver falls back to Bland's rule on exact
 // reduced costs, which guarantees termination.
 //
-// # Dual starts: warm and slack
+// # One start path
 //
-// Every solve that has a dual feasible starting basis skips phase 1 and
-// runs one restoration loop, a textbook bounded dual simplex: the
-// most-violated basic variable leaves, and the min-ratio column always
-// pivots in, even past its opposite bound, so reduced costs keep their
-// signs and no bound flip can cycle. The start is chosen from the cost
-// signs and bounds:
+// Every solve installs a basis and runs one pipeline on it. The start
+// is chosen from the cost signs and bounds:
 //
 //   - Solver.SolveFrom installs a Basis snapshot, such as a branch &
 //     bound parent's optimal basis (Basis.ExtendRows and Basis.DropRows
 //     adapt one to appended or removed rows). The snapshot is dual
 //     feasible for a child that differs only in bounds.
-//   - Without a basis, the all-slack basis is dual feasible when every
-//     structural can rest at the bound its cost sign asks for: positive
-//     cost at a finite lower bound, negative cost at a finite upper
-//     bound, zero cost anywhere. Then y = 0 and d = c. Every planner
-//     model qualifies.
+//   - Without a basis, or when the snapshot does not install, the solve
+//     installs the all-slack basis, an identity matrix that always
+//     installs. It is dual feasible when every structural can rest at
+//     the bound its cost sign asks for: positive cost at a finite lower
+//     bound, negative cost at a finite upper bound, zero cost anywhere.
+//     Then y = 0 and d = c. Every planner model qualifies.
 //
-// A leaving row with no entering column ends the solve infeasible on
-// the dual path when its row of B⁻¹ passes a Farkas test on the model
-// data. Anything else, a basis that does not install, a row without
-// such a proof, or more than stallLimit consecutive dual-degenerate
-// pivots, falls back to the two-phase path; Options.MaxIters bounds the
-// whole solve.
+// From a dual feasible start (an inherited basis, or the slack basis
+// outside Bland pricing) one restoration loop runs, a textbook bounded
+// dual simplex: the most-violated basic variable leaves, and the
+// min-ratio column always pivots in, even past its opposite bound, so
+// reduced costs keep their signs and no bound flip can cycle. A leaving
+// row with no entering column ends the solve infeasible when its row of
+// B⁻¹ passes a Farkas test on the model data. A row without such a
+// proof, or more than stallLimit consecutive dual-degenerate pivots,
+// ends the restoration, and its pivots stay counted.
 //
-// The two-phase path runs when no dual start applies: an LP whose slack
-// basis is not dual feasible (a negative-cost column unbounded above, a
-// free column with a nonzero cost), a cold solve under Options.Bland
-// (the perturbed retry of package milp), and the fallback.
-// Phase 1 installs one artificial per row carrying the initial
-// residual, giving a trivially factorizable feasible basis; minimizing
-// the sum of artificials either reaches zero (proceed to phase 2 on the
-// true costs) or proves infeasibility.
+// Phase 1 then runs on whatever infeasibility the start left: on the
+// slack basis of an LP that is not dual feasible there (a negative-cost
+// column unbounded above, a free column with a nonzero cost), on the
+// slack basis under Options.Bland (the perturbed retry of package
+// milp), and after a restoration that gives up. It needs no artificial
+// columns: each basic column outside its bounds temporarily takes the
+// bound it violates as its opposite bound, with cost −1 below its lower
+// bound or +1 above its upper bound and every other column at cost 0,
+// and the primal loop runs unchanged. At each phase-1 optimum the
+// relaxed columns back inside their bounds get them back; an optimum
+// that restores none proves the LP infeasible. Phase 2 finishes every
+// solve, and Options.MaxIters bounds the whole of it.
 //
 // The tests check the engine against exactLP, an exact rational two-phase
 // tableau simplex that lives only in the test files and shares no code
-// with the engine: slack-started, two-phase, warm-started and
+// with the engine: slack-started, phase-1, warm-started and
 // forced-Bland solves of random LPs must match its status and
 // objective. See
 // DESIGN.md, "Sparse linear algebra", for the full contract — data

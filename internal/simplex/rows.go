@@ -11,8 +11,8 @@ import "github.com/etransform/etransform/internal/tol"
 
 // ColStatus is the exported status of a tableau column in an optimal
 // basis. Columns are indexed 0..NumStruct()-1 for structural variables
-// and NumStruct()+r for the slack of row r; artificial columns are
-// never exposed (a snapshot exists only when none is basic).
+// and NumStruct()+r for the slack of row r, which are all the columns
+// the tableau has.
 type ColStatus int8
 
 // Column statuses.
@@ -38,22 +38,13 @@ type TableauView struct {
 }
 
 // TableauView returns a view of the optimal tableau left behind by the
-// Solver's most recent solve, or nil when there is nothing to read: the
-// last solve did not end StatusOptimal, or an artificial column is
-// still basic (possible only in degenerate cases after a two-phase
-// start — the same condition under which Basis returns nil).
+// Solver's most recent solve, or nil when the last solve did not end
+// StatusOptimal (the same condition under which Basis returns nil).
 func (s *Solver) TableauView() *TableauView {
-	t := &s.t
-	if !t.lastOptimal {
+	if !s.t.lastOptimal {
 		return nil
 	}
-	n, m := t.nStruct, t.m
-	for r := 0; r < m; r++ {
-		if int(t.basicIn[r]) >= n+m {
-			return nil
-		}
-	}
-	return &TableauView{t: t}
+	return &TableauView{t: &s.t}
 }
 
 // NumRows returns the row count m. Slack j of row r is column

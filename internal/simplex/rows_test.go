@@ -9,69 +9,91 @@ import (
 	"github.com/etransform/etransform/internal/lp"
 )
 
-// TestTableauViewIdentity: on random solved LPs, the tableau row of r
-// evaluated at the basic column of any row r' must be the Kronecker
-// delta δ_rr' (B⁻¹B = I), and the row's value at the full solution
-// point (structurals + slacks) must reproduce the basic value.
+// TestTableauViewIdentity: every optimal solve leaves a snapshot, so
+// Basis and TableauView are non-nil after each optimal solve of
+// randomBoxLP's family (3000 models) and of noDualSlackLP's phase-1
+// family (300), with Bland pricing off and on. On each view, the
+// tableau row of r evaluated at the basic column of any row r' must be
+// the Kronecker delta δ_rr' (B⁻¹B = I), and the row's value at the full
+// solution point (structurals + slacks) must reproduce the basic value.
 func TestTableauViewIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	checked := 0
-	for trial := 0; trial < 300; trial++ {
-		m := randomBoxLP(rng)
-		s := NewSolver(nil)
-		sol, err := s.Solve(m)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+	boxRng := rand.New(rand.NewSource(77))
+	p1Rng := rand.New(rand.NewSource(6062))
+	optimal, checked := 0, 0
+	for trial := 0; trial < 3000; trial++ {
+		models := []*lp.Model{randomBoxLP(boxRng)}
+		if trial < 300 {
+			m, _ := noDualSlackLP(p1Rng, trial%2 == 0)
+			models = append(models, m)
 		}
-		if sol.Status != lp.StatusOptimal {
-			continue
-		}
-		v := s.TableauView()
-		if v == nil {
-			continue // documented: a basic artificial forbids the snapshot
-		}
-		n, nr := v.NumStruct(), v.NumRows()
-		if n != m.NumVars() || nr != m.NumRows() {
-			t.Fatalf("trial %d: view dims %dx%d vs model %dx%d", trial, nr, n, m.NumRows(), m.NumVars())
-		}
-		var alpha []float64
-		for r := 0; r < nr; r++ {
-			alpha = v.Row(r, alpha)
-			if len(alpha) != n+nr {
-				t.Fatalf("trial %d: row length %d, want %d", trial, len(alpha), n+nr)
-			}
-			for r2 := 0; r2 < nr; r2++ {
-				want := 0.0
-				if r2 == r {
-					want = 1
+		for _, m := range models {
+			for _, bland := range []bool{false, true} {
+				s := NewSolver(&Options{Bland: bland})
+				sol, err := s.Solve(m)
+				if err != nil {
+					t.Fatalf("trial %d (Bland %v): %v", trial, bland, err)
 				}
-				if got := alpha[v.BasicCol(r2)]; math.Abs(got-want) > 1e-7 {
-					t.Fatalf("trial %d: alpha[basic(%d)] = %v in row %d, want %v", trial, r2, got, r, want)
+				if sol.Status != lp.StatusOptimal {
+					continue
 				}
+				optimal++
+				v := s.TableauView()
+				if s.Basis() == nil || v == nil {
+					t.Fatalf("trial %d (Bland %v): optimal solve left Basis %v, TableauView %v", trial, bland,
+						s.Basis() != nil, v != nil)
+				}
+				checked += checkTableauRows(t, trial, m, v)
 			}
-			if diff := math.Abs(v.Value(v.BasicCol(r)) - v.BasicValue(r)); diff > 1e-9 {
-				t.Fatalf("trial %d row %d: Value(basic) %v vs BasicValue %v", trial, r, v.Value(v.BasicCol(r)), v.BasicValue(r))
-			}
-			// Row identity: α is row r of B⁻¹[A I], and the full point
-			// z = (x, s) satisfies [A I]z = rhs, so α·z = (B⁻¹rhs)_r.
-			// The slack part of α is exactly ρ = B⁻ᵀe_r, so the right-hand
-			// side is Σ_r' α_{n+r'}·rhs_r'.
-			act, want := 0.0, 0.0
-			for j := 0; j < n+nr; j++ {
-				act += alpha[j] * v.Value(j)
-			}
-			for r2 := 0; r2 < nr; r2++ {
-				want += alpha[n+r2] * m.Row(lp.RowID(r2)).RHS
-			}
-			if diff := math.Abs(act - want); diff > 1e-6*math.Max(1, math.Abs(want)) {
-				t.Fatalf("trial %d row %d: tableau row activity %v vs B⁻¹rhs %v", trial, r, act, want)
-			}
-			checked++
 		}
 	}
-	if checked < 100 {
-		t.Fatalf("only %d tableau rows checked — generator too degenerate", checked)
+	if optimal < 3000 || checked < 5000 {
+		t.Fatalf("only %d optimal solves and %d tableau rows checked: generator too degenerate", optimal, checked)
 	}
+}
+
+// checkTableauRows checks the B⁻¹B = I and row-activity identities on
+// every row of v, the view of an optimal solve of m, and returns the
+// number of rows checked.
+func checkTableauRows(t *testing.T, trial int, m *lp.Model, v *TableauView) int {
+	t.Helper()
+	n, nr := v.NumStruct(), v.NumRows()
+	if n != m.NumVars() || nr != m.NumRows() {
+		t.Fatalf("trial %d: view dims %dx%d vs model %dx%d", trial, nr, n, m.NumRows(), m.NumVars())
+	}
+	var alpha []float64
+	for r := 0; r < nr; r++ {
+		alpha = v.Row(r, alpha)
+		if len(alpha) != n+nr {
+			t.Fatalf("trial %d: row length %d, want %d", trial, len(alpha), n+nr)
+		}
+		for r2 := 0; r2 < nr; r2++ {
+			want := 0.0
+			if r2 == r {
+				want = 1
+			}
+			if got := alpha[v.BasicCol(r2)]; math.Abs(got-want) > 1e-7 {
+				t.Fatalf("trial %d: alpha[basic(%d)] = %v in row %d, want %v", trial, r2, got, r, want)
+			}
+		}
+		if diff := math.Abs(v.Value(v.BasicCol(r)) - v.BasicValue(r)); diff > 1e-9 {
+			t.Fatalf("trial %d row %d: Value(basic) %v vs BasicValue %v", trial, r, v.Value(v.BasicCol(r)), v.BasicValue(r))
+		}
+		// Row identity: α is row r of B⁻¹[A I], and the full point
+		// z = (x, s) satisfies [A I]z = rhs, so α·z = (B⁻¹rhs)_r.
+		// The slack part of α is exactly ρ = B⁻ᵀe_r, so the right-hand
+		// side is Σ_r' α_{n+r'}·rhs_r'.
+		act, want := 0.0, 0.0
+		for j := 0; j < n+nr; j++ {
+			act += alpha[j] * v.Value(j)
+		}
+		for r2 := 0; r2 < nr; r2++ {
+			want += alpha[n+r2] * m.Row(lp.RowID(r2)).RHS
+		}
+		if diff := math.Abs(act - want); diff > 1e-6*math.Max(1, math.Abs(want)) {
+			t.Fatalf("trial %d row %d: tableau row activity %v vs B⁻¹rhs %v", trial, r, act, want)
+		}
+	}
+	return nr
 }
 
 // TestExtendRowsWarmResolve: appending a violated valid inequality to a

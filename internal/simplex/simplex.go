@@ -32,8 +32,9 @@ type Options struct {
 	Inject *faultinject.Injector
 	// Trace, when non-nil, receives phase start/end events (obs.Kind
 	// Phase*). The pivot loop itself never emits: events bracket whole
-	// phases, so a solve costs at most four emissions, and a dual start
-	// (warm or slack) emits only the phase-2 pair.
+	// phases, so a solve costs at most four emissions, and a solve whose
+	// start leaves no infeasibility for phase 1 emits only the phase-2
+	// pair.
 	Trace *obs.Tracer
 	// Metrics, when non-nil, receives per-solve counters (pivots,
 	// degenerate pivots, Bland switches, factorizations) folded once
@@ -51,7 +52,7 @@ type Options struct {
 
 // stallLimit is the number of consecutive degenerate pivots tolerated:
 // the primal loop then switches to Bland's rule, and the dual
-// restoration gives up to the two-phase path (see dualRestore).
+// restoration gives up to phase 1 (see dualRestore).
 const stallLimit = 60
 
 func (o *Options) withDefaults(rows int) Options {
@@ -111,7 +112,7 @@ type tableau struct {
 
 	m       int // rows
 	nStruct int // structural variables
-	nTotal  int // structural + slacks + artificials
+	nTotal  int // structural + slacks
 
 	cols  []sparseCol
 	lower []float64
@@ -131,8 +132,8 @@ type tableau struct {
 
 	// CSR mirror of the structural columns (row-major), used to form the
 	// pivot row α = ρᵀ·A sparsely: only rows where ρ is nonzero are
-	// visited. Slack and artificial columns are unit columns and are
-	// handled implicitly.
+	// visited. Slack columns are unit columns and are handled
+	// implicitly.
 	rowStart []int32
 	rowVar   []int32
 	rowCoef  []float64
@@ -177,16 +178,22 @@ type tableau struct {
 	blandFlips int
 	// Warm-start counters (see warm.go). warmHits marks a solve that
 	// completed from an inherited basis (phase 1 skipped); warmMisses
-	// marks a solve that was offered a basis but ran the two-phase path;
-	// a cold solve's slack start is neither. dualPivots counts
-	// dual-simplex restoration pivots of either start (also included in
-	// iters, so pivot totals keep reconciling with Solution.Iterations).
+	// marks a solve that was offered a basis that did not install, or
+	// whose restoration gave up to phase 1; a cold solve's slack start
+	// is neither. dualPivots counts dual-simplex restoration pivots of
+	// either start, a restoration that gives up included (also counted
+	// in iters, so pivot totals keep reconciling with
+	// Solution.Iterations).
 	warmHits   int
 	warmMisses int
 	dualPivots int
-	// slack is the scratch all-slack basis of a cold dual start
+	// slack is the scratch all-slack basis of a cold start
 	// (slackBasis), reused across solves like the slices above.
 	slack Basis
+	// relaxed lists the columns whose bounds phase 1 has relaxed, each
+	// with the bound the relaxation replaced by an infinite one (see
+	// phase1).
+	relaxed []relaxedBound
 	// Linear-algebra counters: basis factorizations (initial, periodic
 	// and recovery), eta updates appended between them, columns examined
 	// by pricing, and the worst relative primal drift observed at a
@@ -204,7 +211,6 @@ type tableau struct {
 	workCol     []float64       // FTRAN result w = B⁻¹·A_j
 	workRow     []float64       // BTRAN result y
 	pricedCost  []float64       // cost vector of the active phase
-	resid       []float64       // scratch: initial residuals
 	p1Cost      []float64       // scratch: phase-1 cost vector
 }
 
@@ -218,7 +224,7 @@ func (t *tableau) reset(model *lp.Model, opts *Options) error {
 	t.opts = opts.withDefaults(m)
 	t.m = m
 	t.nStruct = n
-	t.nTotal = n + 2*m
+	t.nTotal = n + m
 	t.phase = 0
 	t.iters = 0
 	t.degenRun = 0
@@ -306,121 +312,195 @@ func (t *tableau) reset(model *lp.Model, opts *Options) error {
 		case lp.EQ:
 			t.lower[s], t.upper[s] = 0, 0
 		}
-		// Artificial column j = n + m + r (coefficient set after residuals
-		// are known).
-		a := n + m + r
-		ac := &t.cols[a]
-		ac.rows = append(ac.rows, int32(r))
-		ac.coefs = append(ac.coefs, 1)
-		t.lower[a], t.upper[a] = 0, math.Inf(1)
 	}
 	return nil
 }
 
-// initialValue picks the starting value for a nonbasic column.
-func initialValueFor(lo, hi float64) (float64, varStatus) {
+// initialStatus picks where a nonbasic column with no cost sign to
+// follow rests: at zero when free, else at its finite bound nearer
+// zero.
+func initialStatus(lo, hi float64) varStatus {
 	switch {
 	case math.IsInf(lo, -1) && math.IsInf(hi, 1):
-		return 0, freeAtZero
+		return freeAtZero
 	case math.IsInf(lo, -1):
-		return hi, atUpper
+		return atUpper
 	case math.IsInf(hi, 1):
-		return lo, atLower
+		return atLower
 	case math.Abs(lo) <= math.Abs(hi):
-		return lo, atLower
+		return atLower
 	default:
-		return hi, atUpper
+		return atUpper
 	}
 }
 
-// solve runs the two-phase path on the freshly reset tableau: an
-// all-artificial basis, phase 1 when a row's initial residual is
-// nonzero, then phase 2.
-func (t *tableau) solve() (*lp.Solution, error) {
-	n, m := t.nStruct, t.m
-
-	// Nonbasic start for structurals and slacks.
-	for j := 0; j < n+m; j++ {
-		v, st := initialValueFor(t.lower[j], t.upper[j])
-		t.value[j] = v
-		t.status[j] = st
-		t.inRow[j] = -1
+// solve runs the one start pipeline on the freshly reset tableau. It
+// installs the inherited basis, or else the all-slack basis, an
+// identity matrix that always installs; restores primal feasibility by
+// dual simplex when that start is dual feasible (an inherited basis, or
+// the slack basis outside Bland pricing, which the dual loop lacks);
+// runs phase 1 on whatever infeasibility is left, including after a
+// restoration that gives up; and finishes in phase 2.
+func (t *tableau) solve(inherited *Basis) (*lp.Solution, error) {
+	warm := t.installBasis(inherited)
+	dual := warm
+	if !warm {
+		if inherited != nil {
+			t.warmMisses = 1
+		}
+		slack, dualFeasible := t.slackBasis()
+		if !t.installBasis(slack) {
+			return nil, fmt.Errorf("simplex: the all-slack basis does not install")
+		}
+		dual = dualFeasible && !t.opts.Bland
 	}
-	// Residuals determine artificial orientation and value.
-	t.resid = reuseF64(t.resid, m)
-	resid := t.resid
-	copy(resid, t.b)
-	for j := 0; j < n+m; j++ {
-		if tol.IsZero(t.value[j]) {
-			continue
-		}
-		c := t.cols[j]
-		for k, r := range c.rows {
-			resid[r] -= c.coefs[k] * t.value[j]
-		}
-	}
-	needPhase1 := false
-	for r := 0; r < m; r++ {
-		a := n + m + r
-		if resid[r] < 0 {
-			t.cols[a].coefs[0] = -1
-		}
-		av := math.Abs(resid[r])
-		t.xB[r] = av
-		t.value[a] = av
-		t.status[a] = basic
-		t.basicIn[r] = int32(a)
-		t.inRow[a] = int32(r)
-		if av > lp.FeasTol {
-			needPhase1 = true
-		}
-	}
-	// Factorize the (trivially triangular) artificial basis so the first
-	// FTRAN/BTRAN have factors to solve against.
-	if err := t.factorizeBasis(); err != nil {
-		return nil, err
-	}
-
-	if needPhase1 {
-		t.phase = 1
-		t.p1Cost = reuseF64(t.p1Cost, t.nTotal)
-		for r := 0; r < m; r++ {
-			t.p1Cost[n+m+r] = 1
-		}
-		t.pricedCost = t.p1Cost
-		t.tracePhase(obs.KindPhaseStart, 1)
-		st, err := t.iterate()
+	st := lp.StatusOptimal
+	if dual {
+		out, err := t.dualRestore()
 		if err != nil {
 			return nil, err
 		}
-		t.p1Iters = t.iters
-		t.tracePhase(obs.KindPhaseEnd, 1)
-		if st == lp.StatusIterLimit {
-			return &lp.Solution{Status: lp.StatusIterLimit, Iterations: t.iters, Limit: t.limit}, nil
+		switch out {
+		case restoreInfeasible:
+			st = lp.StatusInfeasible
+		case restoreLimit:
+			st = lp.StatusIterLimit
 		}
-		t.recomputeXB()
-		if t.phaseObjective() > lp.FeasTol*math.Max(1, t.bScale()) {
-			return &lp.Solution{Status: lp.StatusInfeasible, Iterations: t.iters}, nil
-		}
-	}
-	// Freeze artificials at zero for phase 2.
-	for r := 0; r < m; r++ {
-		a := n + m + r
-		t.lower[a], t.upper[a] = 0, 0
-		if t.inRow[a] < 0 {
-			t.value[a] = 0
-			t.status[a] = atLower
+		if warm && out != restoreLimit {
+			if out == restoreStale {
+				t.warmMisses = 1
+			} else {
+				t.warmHits = 1
+			}
 		}
 	}
-
+	if st == lp.StatusOptimal {
+		var err error
+		if st, err = t.phase1(); err != nil {
+			return nil, err
+		}
+	}
+	switch st {
+	case lp.StatusIterLimit:
+		return &lp.Solution{Status: lp.StatusIterLimit, Iterations: t.iters, Limit: t.limit}, nil
+	case lp.StatusInfeasible:
+		return &lp.Solution{Status: lp.StatusInfeasible, Iterations: t.iters}, nil
+	}
 	return t.finishPhase2()
 }
 
+// relaxedBound records one column whose bounds phase 1 relaxed: bound
+// is the original bound the relaxation replaced by an infinite one (the
+// upper bound of a column below its lower bound, the lower bound of one
+// above its upper bound).
+type relaxedBound struct {
+	col   int32
+	bound float64
+}
+
+// phase1 drives the basic columns that lie outside their bounds back
+// inside. Each such column temporarily takes the bound it violates as
+// its opposite bound, (−∞, l] below l and [u, +∞) above u, and costs −1
+// below or +1 above; every other column costs 0. The installed basis is
+// then feasible under the relaxed bounds, and the phase-1 objective is
+// the total violation up to a constant, so iterate runs unchanged. At
+// each phase-1 optimum the relaxed columns back inside their bounds
+// (within lp.FeasTol·max(1, ‖b‖∞)) get those bounds back, and phase 1
+// goes on with the rest. An optimum that restores none proves the LP
+// infeasible: every relaxed column is then strictly outside its bounds,
+// and were the LP feasible, a short step toward a feasible point would
+// move each of them toward its violated bound, staying inside the
+// relaxed bounds and lowering the objective. It returns StatusOptimal
+// once no column is relaxed, StatusInfeasible, or StatusIterLimit.
+func (t *tableau) phase1() (lp.Status, error) {
+	t.relaxed = t.relaxed[:0]
+	for i := 0; i < t.m; i++ {
+		j := t.basicIn[i]
+		lo, hi := t.lower[j], t.upper[j]
+		switch {
+		case lo-t.xB[i] > lp.FeasTol:
+			t.relaxed = append(t.relaxed, relaxedBound{j, hi})
+			t.lower[j], t.upper[j] = math.Inf(-1), lo
+		case t.xB[i]-hi > lp.FeasTol:
+			t.relaxed = append(t.relaxed, relaxedBound{j, lo})
+			t.lower[j], t.upper[j] = hi, math.Inf(1)
+		}
+	}
+	if len(t.relaxed) == 0 {
+		return lp.StatusOptimal, nil
+	}
+	t.p1Cost = reuseF64(t.p1Cost, t.nTotal)
+	for _, rb := range t.relaxed {
+		t.p1Cost[rb.col] = 1
+		if math.IsInf(t.lower[rb.col], -1) {
+			t.p1Cost[rb.col] = -1 // below its lower bound
+		}
+	}
+	t.phase = 1
+	t.pricedCost = t.p1Cost
+	t.blandMode = t.opts.Bland
+	t.degenRun = 0
+	start := t.iters
+	t.tracePhase(obs.KindPhaseStart, 1)
+	st := lp.StatusOptimal
+	for len(t.relaxed) > 0 && st == lp.StatusOptimal {
+		var err error
+		if st, err = t.iterate(); err != nil {
+			return 0, err
+		}
+		if st == lp.StatusOptimal {
+			t.recomputeXB()
+			if t.restoreBounds() == 0 {
+				st = lp.StatusInfeasible
+			}
+		}
+	}
+	t.p1Iters = t.iters - start
+	t.tracePhase(obs.KindPhaseEnd, 1)
+	return st, nil
+}
+
+// restoreBounds gives each relaxed column that is back inside its
+// original bounds, within lp.FeasTol·max(1, ‖b‖∞), those bounds and a
+// zero phase-1 cost, and returns how many it restored. A nonbasic
+// relaxed column rests at its one finite bound, the bound it violated,
+// so it is always restored, with its status moved to that side.
+func (t *tableau) restoreBounds() int {
+	feasTol := lp.FeasTol * t.bScale()
+	keep := t.relaxed[:0]
+	for _, rb := range t.relaxed {
+		j := rb.col
+		if t.p1Cost[j] < 0 {
+			// Below l: relaxed to (−∞, l].
+			if t.upper[j]-t.value[j] > feasTol {
+				keep = append(keep, rb)
+				continue
+			}
+			t.lower[j], t.upper[j] = t.upper[j], rb.bound
+			if t.status[j] == atUpper {
+				t.status[j] = atLower
+			}
+		} else {
+			// Above u: relaxed to [u, +∞).
+			if t.value[j]-t.lower[j] > feasTol {
+				keep = append(keep, rb)
+				continue
+			}
+			t.lower[j], t.upper[j] = rb.bound, t.lower[j]
+			if t.status[j] == atLower {
+				t.status[j] = atUpper
+			}
+		}
+		t.p1Cost[j] = 0
+	}
+	restored := len(t.relaxed) - len(keep)
+	t.relaxed = keep
+	return restored
+}
+
 // finishPhase2 runs phase 2 from the current (primal-feasible) basis and
-// extracts the solution. It is the shared tail of the two-phase path
-// (after phase 1) and the dual path (after dual-simplex restoration from
-// an inherited or a slack basis); the artificials must already be
-// frozen at [0,0].
+// extracts the solution: the tail of every solve, after dual
+// restoration, phase 1, or both.
 func (t *tableau) finishPhase2() (*lp.Solution, error) {
 	n, m := t.nStruct, t.m
 	t.phase = 2
@@ -486,16 +566,6 @@ func (t *tableau) bScale() float64 {
 		}
 	}
 	return s
-}
-
-func (t *tableau) phaseObjective() float64 {
-	obj := 0.0
-	for j, c := range t.pricedCost {
-		if !tol.IsZero(c) {
-			obj += c * t.value[j]
-		}
-	}
-	return obj
 }
 
 // computeDuals fills y (len m) with cB' · B⁻¹ for the active cost
@@ -576,9 +646,9 @@ func (t *tableau) ratioTest(enter int, enterDir float64, w []float64) (tMax floa
 	return tMax, leaveRow, leaveToUpper
 }
 
-// recordStep counts the pivot, runs the degenerate-run/Bland-switch
-// bookkeeping, and applies the step of length tMax to the basic values.
-func (t *tableau) recordStep(enterDir, tMax float64, w []float64) {
+// recordStep counts a primal pivot of step length tMax and runs the
+// degenerate-run/Bland-switch bookkeeping.
+func (t *tableau) recordStep(tMax float64) {
 	t.iters++
 	if tMax <= lp.FeasTol {
 		t.degenRun++
@@ -595,12 +665,19 @@ func (t *tableau) recordStep(enterDir, tMax float64, w []float64) {
 			t.blandMode = false
 		}
 	}
-	if tMax > 0 {
-		for i := 0; i < t.m; i++ {
-			if !tol.IsZero(w[i]) {
-				t.xB[i] -= enterDir * tMax * w[i]
-				t.value[t.basicIn[i]] = t.xB[i]
-			}
+}
+
+// stepBasics applies a step of length tMax of the entering column, in
+// direction enterDir with FTRAN column w, to the basic values. Both
+// pivot loops call it before pivotBasis or a bound flip.
+func (t *tableau) stepBasics(enterDir, tMax float64, w []float64) {
+	if tMax <= 0 {
+		return
+	}
+	for i := 0; i < t.m; i++ {
+		if !tol.IsZero(w[i]) {
+			t.xB[i] -= enterDir * tMax * w[i]
+			t.value[t.basicIn[i]] = t.xB[i]
 		}
 	}
 }

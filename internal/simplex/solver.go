@@ -79,32 +79,7 @@ func (s *Solver) solve(ctx context.Context, model *lp.Model, basis *Basis) (*lp.
 		return nil, err
 	}
 	s.t.ctx = ctx
-	// Every LP starts dual when it can: from the inherited basis, or,
-	// without one, from the all-slack basis when that is dual feasible.
-	// Bland pricing (the perturbed retry) keeps the two-phase start.
-	start := basis
-	if start == nil && !s.opts.Bland {
-		start = s.t.slackBasis()
-	}
-	if start != nil {
-		sol, done, err := s.t.solveDual(start, basis != nil)
-		if done {
-			s.t.foldMetrics()
-			return sol, err
-		}
-		// The basis did not install or restoration gave up: rebuild the
-		// tableau and run the two-phase path. The abandoned restoration
-		// pivots are wiped with the tableau, so the folded pivot totals
-		// keep matching the returned Solution.Iterations.
-		if err := s.t.reset(model, &s.opts); err != nil {
-			return nil, err
-		}
-		s.t.ctx = ctx
-		if basis != nil {
-			s.t.warmMisses = 1
-		}
-	}
-	sol, err := s.t.solve()
+	sol, err := s.t.solve(basis)
 	// Fold this solve's local counters into the metrics registry (nil-
 	// safe no-op when disabled) — on error paths too, so pivot totals
 	// still reconcile when a solve is injected to fail.

@@ -133,7 +133,8 @@ func (t *tableau) iterate() (lp.Status, error) {
 			return lp.StatusUnbounded, nil
 		}
 
-		t.recordStep(enterDir, tMax, w)
+		t.recordStep(tMax)
+		t.stepBasics(enterDir, tMax, w)
 
 		if leaveRow < 0 {
 			// Bound flip: the basis (and hence every reduced cost) is
@@ -173,15 +174,6 @@ func (t *tableau) iterate() (lp.Status, error) {
 	}
 }
 
-// priceLimit is the exclusive upper bound of the priced column range:
-// phase 2 skips the artificials entirely (they are frozen at [0,0]).
-func (t *tableau) priceLimit() int {
-	if t.phase == 2 {
-		return t.nStruct + t.m
-	}
-	return t.nTotal
-}
-
 // priceSkip reports that column j can never enter: it is basic, or fixed
 // by identical bounds.
 func (t *tableau) priceSkip(j int) bool {
@@ -214,8 +206,7 @@ func (t *tableau) violation(j int) (viol, dir float64) {
 func (t *tableau) recomputeDj() {
 	y := t.workRow
 	t.computeDuals(y)
-	limit := t.priceLimit()
-	for j := 0; j < limit; j++ {
+	for j := 0; j < t.nTotal; j++ {
 		if t.status[j] == basic {
 			t.dj[j] = 0
 			continue
@@ -243,7 +234,7 @@ func (t *tableau) resetDevex() {
 // -1 return means no eligible column was found in the *entire* range —
 // an optimality claim at the maintained values' accuracy.
 func (t *tableau) priceDevex() (int, float64) {
-	limit := t.priceLimit()
+	limit := t.nTotal
 	enter := -1
 	var enterDir float64
 	bestScore := 0.0
@@ -252,7 +243,7 @@ func (t *tableau) priceDevex() (int, float64) {
 	keep := t.cand[:0]
 	for _, jc := range t.cand {
 		j := int(jc)
-		if j >= limit || t.priceSkip(j) {
+		if t.priceSkip(j) {
 			continue
 		}
 		priced++
@@ -330,8 +321,7 @@ func (t *tableau) priceDevex() (int, float64) {
 func (t *tableau) priceBland() (int, float64) {
 	y := t.workRow
 	t.computeDuals(y)
-	limit := t.priceLimit()
-	for j := 0; j < limit; j++ {
+	for j := 0; j < t.nTotal; j++ {
 		if t.priceSkip(j) {
 			continue
 		}
@@ -375,12 +365,12 @@ func (t *tableau) verifyEntering(enter int, enterDir float64) bool {
 // pivotRowAlphas computes the pivot row α = ρᵀ·A sparsely into
 // t.alpha/t.alphaNZ: only the rows where ρ is nonzero are visited, via
 // the CSR mirror for structural columns and implicitly for the unit
-// slack and ±unit artificial columns.
+// slack columns.
 func (t *tableau) pivotRowAlphas(rho []float64) {
 	t.touchStamp++
 	stamp := t.touchStamp
 	t.alphaNZ = t.alphaNZ[:0]
-	n, m := t.nStruct, t.m
+	n := t.nStruct
 	add := func(j int32, v float64) {
 		if tol.IsZero(v) {
 			return
@@ -392,7 +382,7 @@ func (t *tableau) pivotRowAlphas(rho []float64) {
 		}
 		t.alpha[j] += v
 	}
-	for r := 0; r < m; r++ {
+	for r := 0; r < t.m; r++ {
 		rr := rho[r]
 		if tol.IsZero(rr) {
 			continue
@@ -400,11 +390,8 @@ func (t *tableau) pivotRowAlphas(rho []float64) {
 		for k := t.rowStart[r]; k < t.rowStart[r+1]; k++ {
 			add(t.rowVar[k], rr*t.rowCoef[k])
 		}
-		// Slack column n+r is the unit column e_r; artificial n+m+r is
-		// ±e_r with the sign chosen by the initial residual.
+		// Slack column n+r is the unit column e_r.
 		add(int32(n+r), rr)
-		a := n + m + r
-		add(int32(a), rr*t.cols[a].coefs[0])
 	}
 }
 

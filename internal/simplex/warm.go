@@ -12,18 +12,11 @@ import (
 )
 
 // Basis is an immutable snapshot of an optimal simplex basis: the
-// status of every structural and slack column plus the basic column of
-// every row. It deliberately excludes two things the tableau also
-// carries:
-//
-//   - the basis inverse — at m² floats it would dominate the branch &
-//     bound queue's memory budget, and SolveFrom rebuilds it with one
-//     refactorization anyway, and
-//   - the artificial columns — their orientation depends on the initial
-//     residuals of the solve that produced them, so a snapshot that
-//     included one would not be reinstallable; Solver.Basis returns nil
-//     in the (degenerate) case where an artificial is still basic,
-//     which only a two-phase start can leave behind.
+// status of every structural and slack column, which are all the
+// columns the tableau has, plus the basic column of every row. It
+// deliberately excludes the basis inverse: at m² floats it would
+// dominate the branch & bound queue's memory budget, and SolveFrom
+// rebuilds it with one refactorization anyway.
 //
 // A Basis holds no reference to the tableau or model it came from: it
 // can outlive both, be shared by any number of concurrent SolveFrom
@@ -47,23 +40,15 @@ func (b *Basis) MemBytes() int64 {
 }
 
 // Basis returns a snapshot of the optimal basis left behind by the
-// Solver's most recent solve, or nil when no warm-startable basis is
-// available: the last solve did not end StatusOptimal, or an artificial
-// column is still basic (possible only in degenerate cases after a
-// two-phase start; a dual start never makes an artificial basic). The
-// snapshot is independent of the Solver and remains valid across its
-// subsequent solves.
+// Solver's most recent solve, or nil when the last solve did not end
+// StatusOptimal. The snapshot is independent of the Solver and remains
+// valid across its subsequent solves.
 func (s *Solver) Basis() *Basis {
 	t := &s.t
 	if !t.lastOptimal {
 		return nil
 	}
 	n, m := t.nStruct, t.m
-	for r := 0; r < m; r++ {
-		if int(t.basicIn[r]) >= n+m {
-			return nil
-		}
-	}
 	b := &Basis{
 		n:       n,
 		m:       m,
@@ -171,10 +156,11 @@ func (b *Basis) DropRows(rows []int) *Basis {
 // primal feasibility, after which phase 2 proves optimality, or stops
 // on a leaving row whose B⁻¹ row is a Farkas certificate of
 // infeasibility checked against the model data (provesInfeasible).
-// Whenever the basis is stale (wrong shape, invalid statuses under the
-// child bounds, singular after refactorization) or restoration gives up
-// without such a proof, SolveFrom discards it and re-runs the two-phase
-// path. A nil basis degrades to Solve.
+// A stale basis (wrong shape, invalid statuses under the child bounds,
+// singular after refactorization) does not install, and SolveFrom
+// starts from the all-slack basis instead, as Solve does; a
+// restoration that gives up without a proof hands its basis to phase 1.
+// A nil basis degrades to Solve.
 //
 // ctx cancels the solve as in SolveContext; a nil ctx never does.
 // Branch & bound passes context.Background(): it polls its own context
@@ -185,21 +171,23 @@ func (s *Solver) SolveFrom(ctx context.Context, model *lp.Model, basis *Basis) (
 }
 
 // slackBasis returns the all-slack basis of the freshly reset tableau
-// when it is dual feasible, and nil otherwise. With every slack basic
-// the duals are zero and each structural's reduced cost is its cost, so
-// a column with positive cost rests at its finite lower bound, one with
-// negative cost at its finite upper bound, and a zero-cost column
-// wherever initialValueFor puts it. A nonzero-cost column without the
-// bound its sign needs (a negative cost unbounded above, a positive
-// cost unbounded below, a free column) leaves no dual feasible slack
-// basis, and the cold start runs the two-phase path instead. The
-// returned Basis is tableau scratch, valid until the next call.
-func (t *tableau) slackBasis() *Basis {
+// and whether it is dual feasible. With every slack basic the duals are
+// zero and each structural's reduced cost is its cost, so a column with
+// positive cost rests at its finite lower bound, one with negative cost
+// at its finite upper bound, and a zero-cost column wherever
+// initialStatus puts it. A nonzero-cost column without the bound its
+// sign needs (a negative cost unbounded above, a positive cost
+// unbounded below, a free column) rests where initialStatus puts it
+// and makes the basis dual infeasible, so the solve skips dual
+// restoration. The returned Basis is tableau scratch, valid until the
+// next call.
+func (t *tableau) slackBasis() (*Basis, bool) {
 	n, m := t.nStruct, t.m
 	b := &t.slack
 	b.n, b.m = n, m
 	b.status = reuseStatus(b.status, n+m)
 	b.basicIn = reuseI32(b.basicIn, m)
+	dualFeasible := true
 	for j := 0; j < n; j++ {
 		lo, hi, c := t.lower[j], t.upper[j], t.cost[j]
 		switch {
@@ -207,70 +195,30 @@ func (t *tableau) slackBasis() *Basis {
 			b.status[j] = atLower
 		case c < 0 && !math.IsInf(hi, 1):
 			b.status[j] = atUpper
-		case tol.IsZero(c):
-			_, b.status[j] = initialValueFor(lo, hi)
 		default:
-			return nil
+			b.status[j] = initialStatus(lo, hi)
+			dualFeasible = dualFeasible && tol.IsZero(c)
 		}
 	}
 	for r := 0; r < m; r++ {
 		b.status[n+r] = basic
 		b.basicIn[r] = int32(n + r)
 	}
-	return b
-}
-
-// solveDual runs the dual path from basis b on the freshly reset
-// tableau: install b, restore primal feasibility by dual simplex
-// pivots, then finish in phase 2. b is an inherited basis (SolveFrom)
-// or the slack basis of a cold start; inherited says which, because
-// only an inherited basis counts as a warm hit. done reports that the
-// attempt produced a final outcome (solution or error) and the caller
-// must not run the two-phase path; done false means the basis did not
-// install or restoration gave up, and the caller restarts two-phase.
-func (t *tableau) solveDual(b *Basis, inherited bool) (sol *lp.Solution, done bool, err error) {
-	if !t.installBasis(b) {
-		return nil, false, nil
-	}
-	out, err := t.dualRestore()
-	if err != nil {
-		return nil, true, err
-	}
-	switch out {
-	case restoreStale:
-		return nil, false, nil
-	case restoreLimit:
-		return &lp.Solution{Status: lp.StatusIterLimit, Iterations: t.iters, Limit: t.limit}, true, nil
-	}
-	if inherited {
-		t.warmHits = 1
-	}
-	if out == restoreInfeasible {
-		return &lp.Solution{Status: lp.StatusInfeasible, Iterations: t.iters}, true, nil
-	}
-	sol, err = t.finishPhase2()
-	return sol, true, err
+	return b, dualFeasible
 }
 
 // installBasis loads snapshot b into the tableau under the *current*
 // model's bounds: nonbasic columns snap to the child's (possibly
-// tightened) bounds, artificials are frozen nonbasic at zero, and the
-// basis inverse is rebuilt by one refactorization. It reports false —
-// leaving the tableau for the caller to reset — whenever the snapshot
-// cannot be a valid basis here: shape mismatch, a bound status pointing
-// at an infinite bound, an inconsistent basic set, or a singular basis
-// matrix.
+// tightened) bounds, and the basis inverse is rebuilt by one
+// refactorization. It reports false whenever b is nil or cannot be a
+// valid basis here: shape mismatch, a bound status pointing at an
+// infinite bound, an inconsistent basic set, or a singular basis
+// matrix. A failed install leaves the tableau for the next install to
+// overwrite.
 func (t *tableau) installBasis(b *Basis) bool {
 	n, m := t.nStruct, t.m
 	if b == nil || b.n != n || b.m != m || len(b.status) != n+m || len(b.basicIn) != m {
 		return false
-	}
-	for r := 0; r < m; r++ {
-		a := n + m + r
-		t.lower[a], t.upper[a] = 0, 0
-		t.status[a] = atLower
-		t.value[a] = 0
-		t.inRow[a] = -1
 	}
 	for j := 0; j < n+m; j++ {
 		st := b.status[j]
@@ -330,16 +278,15 @@ const (
 	restoreOK dualOutcome = iota
 	// restoreInfeasible: a leaving row found no entering column and its
 	// row of B⁻¹ passed provesInfeasible, so the LP is infeasible; the
-	// dual path returns that verdict itself.
+	// solve returns that verdict itself.
 	restoreInfeasible
 	// restoreStale: restoration gave up (no entering column without a
-	// certificate, the dual-degenerate guard, a singular
-	// refactorization); the caller falls back to the two-phase path for
-	// the authoritative verdict.
+	// certificate, or the dual-degenerate guard); phase 1 takes over
+	// from the basis restoration ended on.
 	restoreStale
 	// restoreLimit: a solve-wide limit (iterations, deadline) or an
-	// injected stall fired; t.limit names the cause and the caller
-	// surrenders as the two-phase path would.
+	// injected stall fired; t.limit names the cause and the solve
+	// surrenders as the primal loop would.
 	restoreLimit
 )
 
@@ -361,12 +308,14 @@ const (
 // when its row of B⁻¹ passes provesInfeasible. Otherwise, or after more
 // than stallLimit consecutive dual-degenerate pivots (a min ratio
 // within tol.Tie of zero: the dual objective does not move, and the
-// loop has no anti-cycling rule of its own), the attempt is abandoned
-// to the two-phase path, whose primal loop falls back to Bland's rule.
-// Options.MaxIters bounds the whole solve, restoration included. Dual
-// feasibility is an efficiency argument here, not a correctness
-// dependency: whatever basis restoration ends on, finishPhase2 runs
-// primal simplex to proven optimality.
+// loop has no anti-cycling rule of its own), restoration gives up and
+// phase 1, whose primal loop falls back to Bland's rule, repairs the
+// infeasibility left on the basis it ended on. Options.MaxIters bounds
+// the whole solve, restoration included. A singular refactorization is
+// a numerical failure returned as an error, as in the primal loop.
+// Dual feasibility is an efficiency argument here, not a correctness
+// dependency: whatever basis restoration ends on, phase 1 and
+// finishPhase2 run primal simplex to a proven verdict.
 func (t *tableau) dualRestore() (dualOutcome, error) {
 	const pivTol = tol.Pivot
 	m := t.m
@@ -407,18 +356,17 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 			return restoreLimit, nil
 		}
 		// Restoration can run past the eta-file cap; collapse the file on
-		// the same trigger the pivot loop uses. A singular basis
-		// mid-restore means the snapshot went stale.
+		// the same trigger the pivot loop uses.
 		if t.la.etas.count() >= t.opts.refactorEvery {
 			if err := t.refactorize(); err != nil {
-				return restoreStale, nil
+				return 0, err
 			}
 		}
 
 		bi := t.basicIn[r]
-		target, leaveStatus := t.lower[bi], atLower
+		target := t.lower[bi]
 		if !toLower {
-			target, leaveStatus = t.upper[bi], atUpper
+			target = t.upper[bi]
 		}
 		rho := t.binvRow(r)
 		t.computeDuals(y)
@@ -430,7 +378,7 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 		enter := -1
 		var enterDir, enterAlpha float64
 		bestRatio := math.Inf(1)
-		for j := 0; j < t.nStruct+m; j++ { // artificials frozen: skip
+		for j := 0; j < t.nTotal; j++ {
 			st := t.status[j]
 			if st == basic {
 				continue
@@ -464,9 +412,9 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 		}
 		if enter < 0 {
 			// No column can repair the violation. In exact arithmetic
-			// that proves the LP infeasible; the dual path says so only
+			// that proves the LP infeasible; restoration says so only
 			// when ρ passes the certificate test on the model data, and
-			// the two-phase path answers otherwise.
+			// phase 1 answers otherwise.
 			if t.provesInfeasible(rho) {
 				return restoreInfeasible, nil
 			}
@@ -494,24 +442,9 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 		}
 		t.iters++
 		t.dualPivots++
-		for i := 0; i < m; i++ {
-			if !tol.IsZero(w[i]) {
-				t.xB[i] -= enterDir * step * w[i]
-				t.value[t.basicIn[i]] = t.xB[i]
-			}
-		}
 		// The leaving variable exits exactly at its violated bound.
-		enterVal := t.value[enter] + enterDir*step
-		t.value[bi] = target
-		t.status[bi] = leaveStatus
-		t.inRow[bi] = -1
-		t.basicIn[r] = int32(enter)
-		t.inRow[enter] = int32(r)
-		t.status[enter] = basic
-		t.value[enter] = enterVal
-		t.xB[r] = enterVal
-		t.la.etas.push(r, w)
-		t.etaUpdates++
+		t.stepBasics(enterDir, step, w)
+		t.pivotBasis(enter, r, enterDir, step, !toLower, w)
 	}
 }
 
@@ -530,8 +463,7 @@ func (t *tableau) rowAlpha(rho []float64, j int) float64 {
 // model's rows A·x + s = b under the column bounds: every solution
 // satisfies Σ_j (ρᵀA_j)·x_j + Σ_i ρ_i·s_i = ρᵀb, so the LP is infeasible
 // when ρᵀb lies outside the range the left side spans over the bounds
-// of the structural and slack columns (artificials are not part of the
-// model). The test reads only ρ and the model data the tableau holds,
+// of the structural and slack columns. The test reads only ρ and the model data the tableau holds,
 // never the factorization's other output, so a stale basis can only
 // make it fail. The margin must exceed lp.FeasTol times the largest
 // finite term, which covers the rounding of the sums. An |α| ≤
@@ -546,7 +478,7 @@ func (t *tableau) provesInfeasible(rho []float64) bool {
 		scale = math.Max(scale, math.Abs(term))
 	}
 	lo, hi := 0.0, 0.0
-	for j := 0; j < t.nStruct+t.m; j++ {
+	for j := 0; j < t.nTotal; j++ {
 		alpha := t.rowAlpha(rho, j)
 		l, u := t.lower[j], t.upper[j]
 		if math.Abs(alpha) <= tol.Pivot && (math.IsInf(l, -1) || math.IsInf(u, 1)) {

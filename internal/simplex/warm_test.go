@@ -46,7 +46,7 @@ func installs(model *lp.Model, basis *Basis) bool {
 // independent cold solve of the same child on status and objective.
 // Every child whose parent basis installs must be a warm hit: dual
 // restoration either reaches primal feasibility or proves the child
-// infeasible, and never gives up to the cold path.
+// infeasible, and never gives up to phase 1.
 func TestWarmSolveFromMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	warmSolves, hits := 0, int64(0)
@@ -92,7 +92,7 @@ func TestWarmSolveFromMatchesCold(t *testing.T) {
 			t.Fatalf("trial %d: warm_hits %d + warm_misses %d != 1", trial, h, miss)
 		}
 		if miss == 1 && installs(child, basis) {
-			t.Fatalf("trial %d: the parent basis installs but the solve fell back cold (status %v)", trial, got.Status)
+			t.Fatalf("trial %d: the parent basis installs but restoration gave up (status %v)", trial, got.Status)
 		}
 		if h == 1 && met.Counter(obs.MetricSimplexPhase1) != 0 {
 			t.Fatalf("trial %d: hit but phase-1 pivots were counted", trial)
@@ -176,7 +176,7 @@ func TestWarmResolveSameModelSkipsPhase1(t *testing.T) {
 }
 
 // TestWarmStaleBasisFallsBack: a basis of the wrong shape must be
-// rejected and the solve must fall back to the cold path, counted as a
+// rejected and the solve must fall back to the slack start, counted as a
 // miss, with the cold answer.
 func TestWarmStaleBasisFallsBack(t *testing.T) {
 	small := lp.NewModel("small")
@@ -214,7 +214,7 @@ func TestWarmStaleBasisFallsBack(t *testing.T) {
 // TestWarmInfeasibleChild: when the branched child is LP-infeasible,
 // restoration finds no eligible column for the violated row, and that
 // row of B⁻¹ is a Farkas certificate: the warm path itself must return
-// the infeasibility verdict, as a hit, without a cold re-solve.
+// the infeasibility verdict, as a hit, without phase 1.
 func TestWarmInfeasibleChild(t *testing.T) {
 	m := lp.NewModel("par")
 	x := m.AddContinuous("x", 0, 5, 1)
@@ -247,7 +247,7 @@ func TestWarmInfeasibleChild(t *testing.T) {
 			met.Counter(obs.MetricSimplexWarmHits), met.Counter(obs.MetricSimplexWarmMisses))
 	}
 	if met.Counter(obs.MetricSimplexPhase1) != 0 {
-		t.Fatal("phase-1 pivots recorded: the verdict came from the cold path")
+		t.Fatal("phase-1 pivots recorded: the verdict came from phase 1")
 	}
 }
 
@@ -371,7 +371,7 @@ func TestWarmInfeasibleChildrenMatchExact(t *testing.T) {
 		if want == lp.StatusInfeasible {
 			infeasible++
 			if met.Counter(obs.MetricSimplexWarmHits) != 1 {
-				t.Fatalf("trial %d: infeasible child fell back cold instead of a warm proof", trial)
+				t.Fatalf("trial %d: infeasible child went to phase 1 instead of a warm proof", trial)
 			}
 		}
 	}
@@ -517,29 +517,41 @@ func TestColdSolveStartsDual(t *testing.T) {
 	}
 }
 
-// TestColdSolveWithoutDualSlackBasis: a column whose cost sign has no
-// finite bound to rest at (a negative cost unbounded above, or a free
-// column with a nonzero cost) leaves no dual feasible slack basis, and
-// the cold solve runs the two-phase path, matching exactLP.
+// noDualSlackLP returns an LP of randomLP's family with one column j
+// whose cost sign has no finite bound to rest at: a negative cost
+// unbounded above when negUnbounded is set, else a free column with a
+// nonzero cost. Its slack basis is dual infeasible, so a cold solve
+// skips dual restoration and starts phase 1 from that basis whenever a
+// slack lies outside its bounds.
+func noDualSlackLP(rng *rand.Rand, negUnbounded bool) (m *lp.Model, j lp.VarID) {
+	m = randomLP(rng, 1+rng.Intn(10), 1+rng.Intn(8))
+	j = lp.VarID(rng.Intn(m.NumVars()))
+	cost := float64(1 + rng.Intn(10))
+	if negUnbounded {
+		m.SetBounds(j, 0, math.Inf(1))
+		m.SetCost(j, -cost)
+	} else {
+		m.SetBounds(j, math.Inf(-1), math.Inf(1))
+		m.SetCost(j, cost*float64(2*rng.Intn(2)-1))
+	}
+	return m, j
+}
+
+// TestColdSolveWithoutDualSlackBasis: on noDualSlackLP's family the
+// cold solve installs the slack basis, takes no dual pivot, and phase 1
+// repairs the slacks outside their bounds, matching exactLP. With no
+// restoration to prove it, every infeasible verdict is phase 1's; the
+// floor counts those reached after at least one phase-1 pivot.
 func TestColdSolveWithoutDualSlackBasis(t *testing.T) {
 	rng := rand.New(rand.NewSource(6062))
-	phase1 := 0
+	phase1, infeasible := 0, 0
 	for trial := 0; trial < 300; trial++ {
-		m := randomLP(rng, 1+rng.Intn(10), 1+rng.Intn(8))
-		j := lp.VarID(rng.Intn(m.NumVars()))
-		cost := float64(1 + rng.Intn(10))
-		if trial%2 == 0 {
-			m.SetBounds(j, 0, math.Inf(1))
-			m.SetCost(j, -cost)
-		} else {
-			m.SetBounds(j, math.Inf(-1), math.Inf(1))
-			m.SetCost(j, cost*float64(2*rng.Intn(2)-1))
-		}
+		m, j := noDualSlackLP(rng, trial%2 == 0)
 		var tb tableau
 		if err := tb.reset(m, &Options{}); err != nil {
 			t.Fatalf("trial %d: reset: %v", trial, err)
 		}
-		if tb.slackBasis() != nil {
+		if _, dual := tb.slackBasis(); dual {
 			t.Fatalf("trial %d: column %d (cost %v) has no bound to rest at, yet the slack basis is dual feasible",
 				trial, j, m.Var(j).Cost)
 		}
@@ -548,16 +560,56 @@ func TestColdSolveWithoutDualSlackBasis(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		matchesExact(t, "two-phase start", m, sol)
+		matchesExact(t, "slack start without dual feasibility", m, sol)
 		if d := met.Counter(obs.MetricSimplexDualPivots); d != 0 {
-			t.Fatalf("trial %d: %d dual pivots on a two-phase start", trial, d)
+			t.Fatalf("trial %d: %d dual pivots from a dual infeasible slack basis", trial, d)
+		}
+		if met.Counter(obs.MetricSimplexPivots) != int64(sol.Iterations) {
+			t.Fatalf("trial %d: folded pivots %d != solution iterations %d",
+				trial, met.Counter(obs.MetricSimplexPivots), sol.Iterations)
 		}
 		if met.Counter(obs.MetricSimplexPhase1) > 0 {
 			phase1++
+			if sol.Status == lp.StatusInfeasible {
+				infeasible++
+			}
 		}
 	}
-	if phase1 < 250 {
-		t.Fatalf("only %d solves ran phase 1: family too easy", phase1)
+	if phase1 < 250 || infeasible < 100 {
+		t.Fatalf("%d solves ran phase 1 and %d ended infeasible there: family too easy", phase1, infeasible)
+	}
+}
+
+// TestPhase1PricesBland: Options.Bland prices from the first pivot,
+// phase 1 included. Bland's lowest-index rule and devex choose
+// different entering columns on noDualSlackLP's family, so phase 1
+// must take a different number of pivots under the two on a good share
+// of the solves where it runs; a phase 1 that ignored the option would
+// pivot identically under both, every time.
+func TestPhase1PricesBland(t *testing.T) {
+	rng := rand.New(rand.NewSource(6062))
+	ran, differ := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		m, _ := noDualSlackLP(rng, trial%2 == 0)
+		var p1 [2]int64
+		for k, bland := range []bool{false, true} {
+			met := obs.NewMetrics()
+			sol, err := Solve(m, &Options{Bland: bland, Metrics: met})
+			if err != nil {
+				t.Fatalf("trial %d (Bland %v): %v", trial, bland, err)
+			}
+			matchesExact(t, "phase 1", m, sol)
+			p1[k] = met.Counter(obs.MetricSimplexPhase1)
+		}
+		if p1[0] > 0 {
+			ran++
+		}
+		if p1[0] != p1[1] {
+			differ++
+		}
+	}
+	if ran < 250 || differ < 100 {
+		t.Fatalf("phase 1 ran in %d solves and took a different pivot count under Bland in %d", ran, differ)
 	}
 }
 
@@ -575,9 +627,11 @@ func degenerateCoverLP(k int, xLo float64) *lp.Model {
 }
 
 // TestDualDegenerateGuard: more than stallLimit consecutive
-// dual-degenerate pivots abandon a dual start, slack or inherited, to
-// the two-phase path. degenerateCoverLP with stallLimit rows restores
-// dual; one row more trips the guard on its last pivot.
+// dual-degenerate pivots make a dual start, slack or inherited, give up
+// to phase 1, which repairs the rows restoration left violated from the
+// basis it ended on. degenerateCoverLP with stallLimit rows restores
+// dual; one row more trips the guard on its last pivot, and the stallLimit
+// restoration pivots it took stay counted.
 func TestDualDegenerateGuard(t *testing.T) {
 	under := degenerateCoverLP(stallLimit, 0)
 	met := obs.NewMetrics()
@@ -596,7 +650,7 @@ func TestDualDegenerateGuard(t *testing.T) {
 	if err := tb.reset(over, &Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if !tb.installBasis(tb.slackBasis()) {
+	if slack, _ := tb.slackBasis(); !tb.installBasis(slack) {
 		t.Fatal("the slack basis does not install")
 	}
 	if out, err := tb.dualRestore(); err != nil || out != restoreStale || tb.degenRun != stallLimit+1 {
@@ -609,9 +663,12 @@ func TestDualDegenerateGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	matchesExact(t, "slack start over the guard", over, sol)
-	if met.Counter(obs.MetricSimplexPhase1) == 0 || met.Counter(obs.MetricSimplexDualPivots) != 0 {
-		t.Fatalf("%d rows: %d dual and %d phase-1 pivots, want the two-phase path", stallLimit+1,
-			met.Counter(obs.MetricSimplexDualPivots), met.Counter(obs.MetricSimplexPhase1))
+	if met.Counter(obs.MetricSimplexPhase1) == 0 || met.Counter(obs.MetricSimplexDualPivots) != stallLimit {
+		t.Fatalf("%d rows: %d dual and %d phase-1 pivots, want %d dual, then phase 1", stallLimit+1,
+			met.Counter(obs.MetricSimplexDualPivots), met.Counter(obs.MetricSimplexPhase1), stallLimit)
+	}
+	if met.Counter(obs.MetricSimplexPivots) != int64(sol.Iterations) {
+		t.Fatalf("folded pivots %d != solution iterations %d", met.Counter(obs.MetricSimplexPivots), sol.Iterations)
 	}
 
 	// The inherited case: the parent fixes every x_i at 1, where the
@@ -628,7 +685,7 @@ func TestDualDegenerateGuard(t *testing.T) {
 	}
 	matchesExact(t, "warm start over the guard", over, sol)
 	if met.Counter(obs.MetricSimplexWarmMisses) != 1 {
-		t.Fatalf("warm_hits %d, warm_misses %d: the guard must send the warm start two-phase",
+		t.Fatalf("warm_hits %d, warm_misses %d: the guard must hand the warm start to phase 1",
 			met.Counter(obs.MetricSimplexWarmHits), met.Counter(obs.MetricSimplexWarmMisses))
 	}
 }

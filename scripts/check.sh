@@ -10,10 +10,15 @@
 #                  convert to coordinator errors, not earn new markers
 #   3. go test     full suite under the race detector
 #   4. milp race   the parallel branch & bound, twice, under -race
-#   5. warm start  the warm-start suite, under -race: simplex SolveFrom
-#                  must match a cold Solve, and the warm-started branch &
-#                  bound must certify the brute-force optimum at workers
-#                  1 and 4 and ignore the deprecated ReuseBasis field
+#   5. start path  the suites that lock the simplex start path, under
+#                  -race: SolveFrom must match a cold Solve, slack starts
+#                  with and without a dual feasible slack basis, the
+#                  dual-degenerate guard's hand-off to phase 1 and
+#                  Bland pricing in phase 1 must match the exact
+#                  reference, every optimal solve must leave a tableau
+#                  snapshot, and the warm-started branch & bound must
+#                  certify the brute-force optimum at workers 1 and 4
+#                  and ignore the deprecated ReuseBasis field
 #   6. obs cover   internal/obs must hold >= 70% statement coverage —
 #                  the observability layer is what every other number in
 #                  a trace or metrics file is trusted against
@@ -39,7 +44,9 @@
 #                  corruptxall at greedy/3, stallxall and deadlinexall at
 #                  exact-milp/1); every -dr plan must give each group a
 #                  secondary distinct from its primary; a corrupted
-#                  standalone solve must fail cleanly with exit 1
+#                  standalone solve must fail cleanly with exit 1, and a
+#                  standalone LP whose slack basis is neither primal nor
+#                  dual feasible must reach its optimum through phase 1
 #  10. robust smoke a fixed-seed Monte Carlo robustness batch, run twice
 #                  at different -workers values: the two
 #                  etransform-robust/v1 reports must be byte-identical
@@ -99,8 +106,9 @@ go test -race ./...
 echo "==> go test -race -count=2 ./internal/milp/..."
 go test -race -count=2 ./internal/milp/...
 
-echo "==> warm-start suite (-race)"
-go test -race -run 'Warm|GapZero|ReuseBasis' ./internal/simplex ./internal/milp
+echo "==> start-path suites (-race)"
+go test -race -run 'Warm|GapZero|ReuseBasis|ColdSolve|DualDegenerate|ExactReference|TableauView|Phase1' \
+    ./internal/simplex ./internal/milp
 
 echo "==> internal/obs coverage floor (70%)"
 cover=$(go test -cover ./internal/obs | awk '{for (i=1;i<=NF;i++) if ($i ~ /%$/) {sub(/%/,"",$i); print $i}}')
@@ -193,6 +201,34 @@ if [ "$rc" -ne 0 ]; then
     echo "lpsolve (clean): exit $rc, want 0" >&2
     exit 1
 fi
+# No planner LP runs phase 1 (stage 12 asserts it), so this LP carries it
+# end to end: x + y >= 2 puts its slack outside its bounds, and the free
+# z and w with nonzero costs have no bound to rest at, so the slack
+# basis is neither primal nor dual feasible; milp presolve cannot bound
+# a free column. The optimum is x = 2, z - w = 1: objective 1.
+cat > "$SMOKE_DIR/phase1.lp" <<'EOF'
+Minimize
+ obj: x + 2 y - z + w
+Subject To
+ c1: x + y >= 2
+ c2: z - w <= 1
+Bounds
+ 0 <= x <= 10
+ 0 <= y <= 10
+ z free
+ w free
+End
+EOF
+rc=0
+"$SMOKE_DIR/lpsolve" -metrics "$SMOKE_DIR/phase1_metrics.json" "$SMOKE_DIR/phase1.lp" \
+    > "$SMOKE_DIR/phase1_out.txt" 2>&1 || rc=$?
+p1=$(jq '.counters["simplex.phase1_pivots"] // 0' "$SMOKE_DIR/phase1_metrics.json" 2>/dev/null || echo 0)
+if [ "$rc" -ne 0 ] || ! grep -qx 'objective: 1' "$SMOKE_DIR/phase1_out.txt" || [ "$p1" -lt 1 ]; then
+    echo "lpsolve phase-1 LP: exit $rc, simplex.phase1_pivots=$p1; want exit 0, objective: 1 and phase-1 pivots" >&2
+    cat "$SMOKE_DIR/phase1_out.txt" >&2
+    exit 1
+fi
+echo "    lpsolve phase-1 LP: objective 1, simplex.phase1_pivots=$p1 (ok)"
 
 echo "==> robustness determinism smoke"
 # One fixed-seed batch at two worker counts: the replay contract says
