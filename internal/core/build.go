@@ -62,6 +62,9 @@ type builder struct {
 	// capRows[j] is DC j's capacity row (−1 when the DC has no columns),
 	// used for shadow-price extraction.
 	capRows []lp.RowID
+	// scorer totals the heuristic's assignments (evalTotal), built on
+	// first use.
+	scorer *model.Scorer
 
 	candidateK int
 }

@@ -6,12 +6,13 @@ import (
 )
 
 // localImprove hill-climbs a feasible (placement, secondary) assignment
-// under the shared evaluator: for each group it tries every alternative
-// primary and secondary site, accepting the first cost-reducing feasible
-// move, for up to maxPasses sweeps. The DR MILP's LP bound is weak (see
-// warm.go), so polishing the warm candidates this way is what actually
-// closes most of the primal gap on latency-classed estates; branch &
-// bound then only sharpens the bound.
+// under the shared cost accounting: for each group it tries every
+// alternative primary and secondary site, accepting the first
+// cost-reducing feasible move, for up to maxPasses sweeps. On DR
+// estates the incumbent, not the LP bound, is the weak side of the
+// search (see warm.go), so polishing the warm candidates this way is
+// what closes most of the primal gap on latency-classed estates. Each
+// candidate move is totalled in full by evalTotal.
 //
 // placement and secondary are modified in place; secondary may be nil
 // (non-DR). Returns the final evaluated total cost.
@@ -78,20 +79,19 @@ func (b *builder) localImprove(placement, secondary []int, maxPasses int) float6
 	return cur
 }
 
-// evalTotal scores an assignment with the shared evaluator, returning
-// +Inf for infeasible (capacity-violating) assignments.
+// evalTotal scores an assignment with the state's scorer, which totals
+// it as model.Evaluate would, bit for bit. Infeasible assignments score
+// inf(): a site over capacity, primary = secondary, or shared-risk
+// co-location, which the MILP forbids, so warm candidates must avoid
+// it too.
 func (b *builder) evalTotal(placement, secondary []int) float64 {
-	var backups []int
-	if secondary != nil {
-		backups = b.requiredBackups(placement, secondary)
+	if b.scorer == nil {
+		b.scorer = model.NewScorer(b.s, &b.s.Target, b.p.opts.DedicatedBackups)
 	}
-	bd, err := model.Evaluate(b.s, &b.s.Target, placement, secondary, backups)
-	if err != nil || bd.SharedRiskViolations > 0 {
-		// The MILP forbids shared-risk co-location, so warm candidates
-		// must too.
-		return inf()
+	if c, ok := b.scorer.Total(placement, secondary); ok {
+		return c
 	}
-	return bd.Total()
+	return inf()
 }
 
 func inf() float64 { return 1e308 }

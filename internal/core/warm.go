@@ -8,17 +8,18 @@ import (
 	"github.com/etransform/etransform/internal/tol"
 )
 
-// This file implements the planner's LP-free primal heuristic. The DR
-// MILP's LP relaxation understates the shared-pool cost (a fractional
-// solution spreads each group's secondary across many sites, deflating
-// every G_b ≥ Σ demand row), so branch & bound needs a strong incumbent
-// to prune against. The heuristic constructs the structure the optimum
-// actually takes — primaries spread over the k cheapest sites with the
-// secondaries routed to a common pool site — for every k, and polishes
-// the cheapest construction with local search. The same points seed the
-// exact search (warmStarts) and, already encoded, are what the last
-// fallback stage certifies: it returns the cheapest of them
-// (cheapestWarmPlan).
+// This file implements the planner's LP-free primal heuristic. Branch &
+// bound on the DR MILP needs a strong incumbent to prune against and
+// does not find one by itself. The relaxation is not the weak side: on
+// full-scale Enterprise1 DR its pools hold 118.9 servers against 125 in
+// the plan stage 2 rounds from it, while the tree, given no warm start,
+// runs thousands of nodes without an incumbent. The heuristic
+// constructs the structure the optimum actually takes — primaries
+// spread over the k cheapest sites with the secondaries routed to a
+// common pool site — for every k, and polishes the cheapest
+// construction with local search. The same points seed the exact search
+// (warmStarts) and, already encoded, are what the last fallback stage
+// certifies: it returns the cheapest of them (cheapestWarmPlan).
 
 // heuristicPoint is one concrete assignment: a primary site per group
 // and, under DR, a secondary site per group (nil otherwise).
@@ -65,8 +66,8 @@ func (b *builder) heuristicPoints() []heuristicPoint {
 		sorted[r] = pts[i]
 	}
 	// Local search only lowers the cost, so the polished point stays
-	// first. The LP bound is too weak for branch & bound to do this
-	// refinement itself in reasonable time.
+	// first. Branch & bound does not find this refinement itself in
+	// reasonable time.
 	if len(sorted) > 0 && b.improvable() {
 		b.localImprove(sorted[0].placement, sorted[0].secondary, 3)
 	}

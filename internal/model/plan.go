@@ -168,10 +168,7 @@ func Evaluate(s *AsIsState, e *Estate, placement []int, secondary []int, backups
 		dcCost := bd.PerDC[dc.ID]
 		dcCost.Servers += g.Servers
 
-		perServer := ServerMonthlyCost(dc, p)
-		power := p.ServerPowerKW * dc.PowerCostPerKWh * p.HoursPerMonth * float64(g.Servers)
-		labor := perServer*float64(g.Servers) - power
-		wan := WANCostAt(g, e, p, j)
+		power, labor, wan := primaryCost(g, e, p, j)
 		lat := LatencyPenaltyAt(g, e, p, j)
 		bd.Power += power
 		bd.Labor += labor
@@ -221,9 +218,7 @@ func Evaluate(s *AsIsState, e *Estate, placement []int, secondary []int, backups
 			dc := &e.DCs[j]
 			dcCost := bd.PerDC[dc.ID]
 			dcCost.BackupServers += gj
-			power := p.ServerPowerKW * dc.PowerCostPerKWh * p.HoursPerMonth * float64(gj)
-			labor := dc.LaborCostPerAdmin / p.ServersPerAdmin * float64(gj)
-			capital := p.DRServerCost * float64(gj)
+			power, labor, capital := poolCost(dc, p, gj)
 			bd.Power += power
 			bd.Labor += labor
 			bd.BackupCapital += capital
@@ -344,19 +339,8 @@ func EvaluatePlan(s *AsIsState, p *Plan) (CostBreakdown, error) {
 // secondary=b} S_i (§IV-B). The result is the minimum pool satisfying
 // every single-DC failure.
 func RequiredBackups(s *AsIsState, numDCs int, placement, secondary []int) []int {
-	demand := make(map[[2]int]int)
-	for i := range s.Groups {
-		key := [2]int{placement[i], secondary[i]}
-		demand[key] += s.Groups[i].Servers
-	}
-	// G_b must cover the worst single primary-DC failure routed to b:
-	// the max over primaries a of the (a→b) demand.
 	backups := make([]int, numDCs)
-	for key, servers := range demand {
-		if b := key[1]; servers > backups[b] {
-			backups[b] = servers
-		}
-	}
+	sizeSharedPools(s.Groups, placement, secondary, make([]int, numDCs*numDCs), backups)
 	return backups
 }
 
@@ -365,9 +349,7 @@ func RequiredBackups(s *AsIsState, numDCs int, placement, secondary []int) []int
 // shared (§IV-A), so G_b is the sum of all server demand routed to b.
 func RequiredBackupsDedicated(s *AsIsState, numDCs int, placement, secondary []int) []int {
 	backups := make([]int, numDCs)
-	for i := range s.Groups {
-		backups[secondary[i]] += s.Groups[i].Servers
-	}
+	sizeDedicatedPools(s.Groups, secondary, backups)
 	return backups
 }
 

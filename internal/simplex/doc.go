@@ -60,11 +60,15 @@
 // outside Bland pricing) one restoration loop runs, a textbook bounded
 // dual simplex: the most-violated basic variable leaves, and the
 // min-ratio column always pivots in, even past its opposite bound, so
-// reduced costs keep their signs and no bound flip can cycle. A leaving
-// row with no entering column ends the solve infeasible when its row of
-// B⁻¹ passes a Farkas test on the model data. A row without such a
-// proof, or more than stallLimit consecutive dual-degenerate pivots,
-// ends the restoration, and its pivots stay counted.
+// reduced costs keep their signs and no bound flip can cycle. Each dual
+// pivot forms its pivot row from the CSR mirror over the nonzeros of
+// its row of B⁻¹, prices only those columns, and updates maintained
+// reduced costs as the primal loop does; no verdict is drawn from the
+// maintained values. A leaving row with no entering column ends the
+// solve infeasible when its row of B⁻¹ passes a Farkas test on the
+// model data. A row without such a proof, or more than stallLimit
+// consecutive dual-degenerate pivots, ends the restoration, and its
+// pivots stay counted.
 //
 // Phase 1 then runs on whatever infeasibility the start left: on the
 // slack basis of an LP that is not dual feasible there (a negative-cost

@@ -1,6 +1,8 @@
 package simplex
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -206,36 +208,79 @@ func TestLUMarkowitzRejectsTinyPivot(t *testing.T) {
 	}
 }
 
-// TestRefactorAfterKEtasEquivalence solves the same random LPs with eta
-// caps 1 (refactorize every pivot), the default, and effectively-never:
-// the refactorization policy must be invisible in the results.
+// TestRefactorAfterKEtasEquivalence solves random LPs, and a
+// branch-like child of each from its parent's optimal basis, with eta
+// caps 1 (refactorize every pivot), 8, the default 64 and effectively
+// never, and checks every solve against exactLP and against cap 1's
+// solve of the same LP (same status, objective within 1e-7 relative):
+// the refactorization policy must be invisible in the results. Every LP
+// of the family starts dual, cold from the slack basis or warm from the
+// parent's, and the restoration carries its maintained reduced costs
+// through each refactorization (factorizeBasis), so at cap 1 every
+// restoration pivot after the first prices values that went through
+// one. The floor on those pivots keeps the family on that path.
 func TestRefactorAfterKEtasEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	caps := []int{1, 8, 64, 1 << 20}
-	for trial := 0; trial < 120; trial++ {
-		m := randomLP(rng, 1+rng.Intn(12), 1+rng.Intn(8))
-		var ref *lp.Solution
-		for _, every := range caps {
-			sol, err := Solve(m, &Options{refactorEvery: every})
-			if err != nil {
-				t.Fatalf("trial %d cap %d: %v", trial, every, err)
-			}
-			if ref == nil {
-				ref = sol
-				continue
-			}
-			if sol.Status != ref.Status {
-				t.Fatalf("trial %d cap %d: status %v, want %v", trial, every, sol.Status, ref.Status)
-			}
-			if sol.Status != lp.StatusOptimal {
-				continue
-			}
-			if d := math.Abs(sol.Objective - ref.Objective); d > 1e-7*math.Max(1, math.Abs(ref.Objective)) {
-				t.Fatalf("trial %d cap %d: objective %v, want %v (diff %g)",
-					trial, every, sol.Objective, ref.Objective, d)
-			}
+	refactored := 0
+	// agree records the first cap's solution as the reference and holds
+	// every later cap to it.
+	agree := func(label string, got *lp.Solution, ref **lp.Solution) {
+		t.Helper()
+		if *ref == nil {
+			*ref = got
+			return
+		}
+		want := *ref
+		if got.Status != want.Status {
+			t.Fatalf("%s: status %v, cap %d gave %v", label, got.Status, caps[0], want.Status)
+		}
+		if got.Status != lp.StatusOptimal {
+			return
+		}
+		if d := math.Abs(got.Objective - want.Objective); d > 1e-7*math.Max(1, math.Abs(want.Objective)) {
+			t.Fatalf("%s: objective %v, cap %d gave %v (diff %g)", label, got.Objective, caps[0], want.Objective, d)
 		}
 	}
+	for trial := 0; trial < 120; trial++ {
+		parent := randomLP(rng, 1+rng.Intn(12), 1+rng.Intn(8))
+		var child *lp.Model
+		var parentRef, childRef *lp.Solution
+		for _, every := range caps {
+			s := NewSolver(&Options{refactorEvery: every})
+			countRefactored := func() {
+				if every == 1 && s.t.dualPivots > 1 {
+					refactored += s.t.dualPivots - 1
+				}
+			}
+			psol, err := s.Solve(parent)
+			label := fmt.Sprintf("trial %d cap %d", trial, every)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			matchesExact(t, label, parent, psol)
+			agree(label, psol, &parentRef)
+			countRefactored()
+			if psol.Status != lp.StatusOptimal {
+				continue
+			}
+			if child == nil {
+				child = parent.Clone()
+				branchLike(child, psol, rng)
+			}
+			csol, err := s.SolveFrom(context.Background(), child, s.Basis())
+			if err != nil {
+				t.Fatalf("%s child: %v", label, err)
+			}
+			matchesExact(t, label+" child", child, csol)
+			agree(label+" child", csol, &childRef)
+			countRefactored()
+		}
+	}
+	if refactored < 150 {
+		t.Fatalf("%d restoration pivots at cap 1 followed a refactorization: family too easy", refactored)
+	}
+	t.Logf("%d restoration pivots at cap 1 followed a refactorization", refactored)
 }
 
 // FuzzFTUpdate drives random product-form update chains against a

@@ -139,12 +139,13 @@ type tableau struct {
 	rowCoef  []float64
 
 	// Devex pricing state. dj holds the maintained reduced costs of the
-	// active phase; djExact marks them as freshly recomputed from the
-	// basis (a terminal optimal/unbounded verdict is only ever issued off
-	// exact values); djValid marks them usable at all (Bland-mode pivots
-	// skip maintenance and invalidate them). gamma holds the devex
-	// reference weights; cand the retained candidate buffer of partial
-	// pricing; scanFrom the rotating scan cursor.
+	// active phase or of the dual restoration; djExact marks them as
+	// freshly recomputed from the basis (a terminal optimal/unbounded
+	// verdict is only ever issued off exact values); djValid marks them
+	// usable at all (Bland-mode pivots skip maintenance and invalidate
+	// them). gamma holds the devex reference weights; cand the retained
+	// candidate buffer of partial pricing; scanFrom the rotating scan
+	// cursor.
 	dj       []float64
 	gamma    []float64
 	djExact  bool

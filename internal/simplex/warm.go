@@ -304,6 +304,15 @@ const (
 // bound instead, with no dual step, would leave its reduced cost with
 // the wrong sign there, and the next row would flip it straight back.)
 //
+// A pivot is priced as the primal loop prices one: the pivot row
+// α = ρᵀ[A I] is formed from the CSR mirror over ρ's nonzeros
+// (pivotRowAlphas), the ratio test visits only those columns, and the
+// reduced costs, computed exactly at the first pivot (recomputeDj),
+// follow each pivot through applyDjUpdate and survive the eta-file
+// refactorizations. Those maintained values only steer the route:
+// phase 1 and finishPhase2 recompute reduced costs exactly before any
+// verdict, and an infeasibility verdict rests on the Farkas test alone.
+//
 // A leaving row with no entering column is a proof of infeasibility
 // when its row of B⁻¹ passes provesInfeasible. Otherwise, or after more
 // than stallLimit consecutive dual-degenerate pivots (a min ratio
@@ -321,7 +330,8 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 	m := t.m
 	t.phase = 2
 	t.pricedCost = t.cost
-	y := t.workRow
+	// A start that is already primal feasible computes no reduced costs.
+	t.djValid = false
 	for {
 		// Leaving row: the most-violated basic bound.
 		r, toLower, worst := -1, false, lp.FeasTol
@@ -356,7 +366,8 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 			return restoreLimit, nil
 		}
 		// Restoration can run past the eta-file cap; collapse the file on
-		// the same trigger the pivot loop uses.
+		// the same trigger the pivot loop uses. The maintained reduced
+		// costs survive it: the basis is unchanged.
 		if t.la.etas.count() >= t.opts.refactorEvery {
 			if err := t.refactorize(); err != nil {
 				return 0, err
@@ -368,17 +379,23 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 		if !toLower {
 			target = t.upper[bi]
 		}
+		if !t.djValid {
+			t.recomputeDj()
+		}
 		rho := t.binvRow(r)
-		t.computeDuals(y)
+		t.pivotRowAlphas(rho)
 
-		// Dual ratio test: among nonbasic columns able to move xB[r]
-		// toward its violated bound, pick the one whose reduced cost
-		// reaches zero first (min |d|/|α|), tie-broken on the larger
-		// pivot magnitude for stability.
+		// Dual ratio test over the pivot row's nonzeros: among nonbasic
+		// columns able to move xB[r] toward its violated bound, pick the
+		// one whose reduced cost reaches zero first (min |d|/|α|),
+		// tie-broken on the larger pivot magnitude for stability and
+		// then on the lower column index, so the choice does not depend
+		// on the order the row was formed in.
 		enter := -1
 		var enterDir, enterAlpha float64
 		bestRatio := math.Inf(1)
-		for j := 0; j < t.nTotal; j++ {
+		for _, jc := range t.alphaNZ {
+			j := int(jc)
 			st := t.status[j]
 			if st == basic {
 				continue
@@ -386,7 +403,7 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 			if tol.Same(t.lower[j], t.upper[j]) && st != freeAtZero {
 				continue // fixed
 			}
-			alpha := t.rowAlpha(rho, j)
+			alpha := t.alpha[j]
 			if math.Abs(alpha) <= pivTol {
 				continue
 			}
@@ -402,10 +419,10 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 			if (dir > 0 && st == atUpper) || (dir < 0 && st == atLower) {
 				continue
 			}
-			d := t.reducedCost(j, y)
-			ratio := math.Abs(d) / math.Abs(alpha)
+			ratio := math.Abs(t.dj[j]) / math.Abs(alpha)
 			if ratio < bestRatio-tol.Tie ||
-				(ratio < bestRatio+tol.Tie && (enter < 0 || math.Abs(alpha) > math.Abs(enterAlpha))) {
+				(ratio < bestRatio+tol.Tie && (enter < 0 || math.Abs(alpha) > math.Abs(enterAlpha) ||
+					(tol.Same(math.Abs(alpha), math.Abs(enterAlpha)) && j < enter))) {
 				bestRatio = ratio
 				enter, enterDir, enterAlpha = j, dir, alpha
 			}
@@ -442,34 +459,29 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 		}
 		t.iters++
 		t.dualPivots++
-		// The leaving variable exits exactly at its violated bound.
+		// The leaving variable exits exactly at its violated bound, and
+		// the reduced costs follow the pivot row, as in the primal loop.
+		dq, gq := t.dj[enter], t.gamma[enter]
 		t.stepBasics(enterDir, step, w)
 		t.pivotBasis(enter, r, enterDir, step, !toLower, w)
+		t.applyDjUpdate(enter, dq, w[r], gq)
 	}
-}
-
-// rowAlpha returns ρᵀA_j, the entry of column j in the tableau row
-// whose B⁻¹ row is ρ.
-func (t *tableau) rowAlpha(rho []float64, j int) float64 {
-	c := t.cols[j]
-	alpha := 0.0
-	for k, ri := range c.rows {
-		alpha += rho[ri] * c.coefs[k]
-	}
-	return alpha
 }
 
 // provesInfeasible reports whether ρ is a Farkas certificate for the
 // model's rows A·x + s = b under the column bounds: every solution
-// satisfies Σ_j (ρᵀA_j)·x_j + Σ_i ρ_i·s_i = ρᵀb, so the LP is infeasible
-// when ρᵀb lies outside the range the left side spans over the bounds
-// of the structural and slack columns. The test reads only ρ and the model data the tableau holds,
-// never the factorization's other output, so a stale basis can only
+// satisfies Σ_j α_j·x_j + Σ_i ρ_i·s_i = ρᵀb, where α = ρᵀ[A I], so the
+// LP is infeasible when ρᵀb lies outside the range the left side spans
+// over the bounds of the structural and slack columns. It forms α itself
+// (pivotRowAlphas, overwriting the pivot row); columns outside the
+// row's nonzeros have α_j = 0 and span nothing. The test reads only ρ
+// and the model data the tableau holds, never the factorization's other
+// output or the maintained reduced costs, so a stale basis can only
 // make it fail. The margin must exceed lp.FeasTol times the largest
-// finite term, which covers the rounding of the sums. An |α| ≤
-// tol.Pivot on a column with an infinite bound counts as zero, as it
-// does in the dual ratio test, so the verdict holds at the engine's
-// pivot tolerance rather than exactly.
+// finite term, which covers the rounding of the sums.
+// An |α| ≤ tol.Pivot on a column with an infinite bound counts as zero,
+// as it does in the dual ratio test, so the verdict holds at the
+// engine's pivot tolerance rather than exactly.
 func (t *tableau) provesInfeasible(rho []float64) bool {
 	scale, rhs := 1.0, 0.0
 	for i, bi := range t.b {
@@ -477,9 +489,11 @@ func (t *tableau) provesInfeasible(rho []float64) bool {
 		rhs += term
 		scale = math.Max(scale, math.Abs(term))
 	}
+	t.pivotRowAlphas(rho)
 	lo, hi := 0.0, 0.0
-	for j := 0; j < t.nTotal; j++ {
-		alpha := t.rowAlpha(rho, j)
+	for _, jc := range t.alphaNZ {
+		j := int(jc)
+		alpha := t.alpha[j]
 		l, u := t.lower[j], t.upper[j]
 		if math.Abs(alpha) <= tol.Pivot && (math.IsInf(l, -1) || math.IsInf(u, 1)) {
 			continue

@@ -13,12 +13,15 @@
 #   5. start path  the suites that lock the simplex start path, under
 #                  -race: SolveFrom must match a cold Solve, slack starts
 #                  with and without a dual feasible slack basis, the
-#                  dual-degenerate guard's hand-off to phase 1 and
-#                  Bland pricing in phase 1 must match the exact
-#                  reference, every optimal solve must leave a tableau
-#                  snapshot, and the warm-started branch & bound must
-#                  certify the brute-force optimum at workers 1 and 4
-#                  and ignore the deprecated ReuseBasis field
+#                  dual-degenerate guard's hand-off to phase 1, Bland
+#                  pricing in phase 1 and cold and warm solves at every
+#                  eta-file cap (restorations carry maintained reduced
+#                  costs through refactorizations) must match the exact
+#                  reference, injected faults must land in dual
+#                  restoration pivots, every optimal solve must leave a
+#                  tableau snapshot, and the warm-started branch & bound
+#                  must certify the brute-force optimum at workers 1 and
+#                  4 and ignore the deprecated ReuseBasis field
 #   6. obs cover   internal/obs must hold >= 70% statement coverage —
 #                  the observability layer is what every other number in
 #                  a trace or metrics file is trusted against
@@ -34,7 +37,9 @@
 #                  encoding, kept as a test reference, must reach the
 #                  same optimum (TestPairVsPaperFormulationEquivalent),
 #                  and group aggregation must be exact and shrink the
-#                  model (TestAggregationExact)
+#                  model (TestAggregationExact); and the local search's
+#                  scorer must total every assignment as model.Evaluate
+#                  does, bit for bit (TestScorerMatchesEvaluate)
 #   9. fault smoke each injectable fault class forced through -faults
 #                  end to end, without and with -dr, at -gap 1e-4 on a
 #                  state that branches in that mode: every row must fire
@@ -107,7 +112,7 @@ echo "==> go test -race -count=2 ./internal/milp/..."
 go test -race -count=2 ./internal/milp/...
 
 echo "==> start-path suites (-race)"
-go test -race -run 'Warm|GapZero|ReuseBasis|ColdSolve|DualDegenerate|ExactReference|TableauView|Phase1' \
+go test -race -run 'Warm|GapZero|ReuseBasis|ColdSolve|DualDegenerate|DualRestoration|RefactorAfterKEtas|ExactReference|TableauView|Phase1' \
     ./internal/simplex ./internal/milp
 
 echo "==> internal/obs coverage floor (70%)"
@@ -129,6 +134,7 @@ echo "==> golden plan + metamorphic + model-equivalence output locks"
 go test ./cmd/etransform -run TestGoldenPlans
 go test ./internal/core -run 'TestMetamorphic(CostScaling|IndexPermutation|DominatedDC)'
 go test ./internal/core -run 'TestPlannerMatchesBruteForce|TestPairVsPaperFormulationEquivalent|TestAggregationExact'
+go test ./internal/model -run 'TestScorerMatchesEvaluate'
 
 echo "==> fault-injection smoke matrix"
 SMOKE_DIR=$(mktemp -d)
