@@ -357,9 +357,11 @@ func (b *builder) requiredBackups(placement, secondary []int) []int {
 func (b *builder) addPlaceVar(ti, a, sec int, cost float64) lp.VarID {
 	tp := &b.types[ti]
 	var v lp.VarID
-	name := fmt.Sprintf("x_%d_%d", ti, a)
+	var name string
 	if sec >= 0 {
 		name = fmt.Sprintf("z_%d_%d_%d", ti, a, sec)
+	} else {
+		name = fmt.Sprintf("x_%d_%d", ti, a)
 	}
 	if tp.count() == 1 {
 		v = b.m.AddBinary(name, cost)

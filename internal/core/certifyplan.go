@@ -29,7 +29,7 @@ func (p *Planner) CertifyPlan(plan *model.Plan) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	placement, secondary, err := p.assignmentIndices(plan)
+	placement, secondary, err := model.PlanIndices(p.state, plan, p.opts.DR)
 	if err != nil {
 		return "", err
 	}
@@ -38,36 +38,4 @@ func (p *Planner) CertifyPlan(plan *model.Plan) (string, error) {
 		return "", err
 	}
 	return certified.Stats.Certificate, nil
-}
-
-// assignmentIndices maps a plan's named assignments onto this state's
-// indices: placement[i] is the target-DC index of group i's primary, and
-// (under DR) secondary[i] of its backup site. It is the shared first half
-// of both plan certification and plan-seeded re-solves; an error means
-// the plan does not speak this state's group or data-center vocabulary.
-func (p *Planner) assignmentIndices(plan *model.Plan) (placement, secondary []int, err error) {
-	s := p.state
-	placement = make([]int, len(s.Groups))
-	if p.opts.DR {
-		secondary = make([]int, len(s.Groups))
-	}
-	for i := range s.Groups {
-		a := plan.AssignmentFor(s.Groups[i].ID)
-		if a == nil {
-			return nil, nil, fmt.Errorf("core: plan misses group %q", s.Groups[i].ID)
-		}
-		j := s.Target.DCIndex(a.PrimaryDC)
-		if j < 0 {
-			return nil, nil, fmt.Errorf("core: plan places group %q at unknown DC %q", a.GroupID, a.PrimaryDC)
-		}
-		placement[i] = j
-		if secondary != nil {
-			sj := s.Target.DCIndex(a.SecondaryDC)
-			if sj < 0 {
-				return nil, nil, fmt.Errorf("core: plan gives group %q unknown secondary DC %q", a.GroupID, a.SecondaryDC)
-			}
-			secondary[i] = sj
-		}
-	}
-	return placement, secondary, nil
 }

@@ -167,7 +167,7 @@ func (p *Planner) SeedPlan(prev *model.Plan) error {
 		p.seedPlacement, p.seedSecondary = nil, nil
 		return nil
 	}
-	placement, secondary, err := p.assignmentIndices(prev)
+	placement, secondary, err := model.PlanIndices(p.state, prev, p.opts.DR)
 	if err != nil {
 		return fmt.Errorf("core: seed plan: %w", err)
 	}

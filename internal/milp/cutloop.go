@@ -3,43 +3,11 @@ package milp
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"github.com/etransform/etransform/internal/certify"
 	"github.com/etransform/etransform/internal/lp"
 	"github.com/etransform/etransform/internal/milp/cuts"
-	"github.com/etransform/etransform/internal/tol"
 )
-
-// buildStash collects the known integer-feasible points every accepted
-// cut must preserve: each feasible caller-supplied warm start (the
-// planner passes the greedy baseline plan this way) and the current
-// incumbent, with integer variables snapped exactly.
-func (c *coordinator) buildStash() {
-	add := func(x []float64) {
-		if len(x) != c.model.NumVars() {
-			return
-		}
-		snapped := make([]float64, len(x))
-		copy(snapped, x)
-		for _, v := range c.intVars {
-			snapped[v] = math.Round(snapped[v])
-		}
-		if c.model.CheckFeasible(snapped, tol.Accept) != nil {
-			return
-		}
-		c.stash = append(c.stash, snapped)
-	}
-	for _, ws := range c.opts.WarmStarts {
-		add(ws)
-	}
-	c.mu.Lock()
-	inc := c.incumbent
-	c.mu.Unlock()
-	if inc != nil {
-		add(inc)
-	}
-}
 
 // rootGapOpen reports whether the root LP bound leaves the incumbent
 // outside GapTol: the test that prunes a tree node. Once it fails the
@@ -53,7 +21,8 @@ func (c *coordinator) rootGapOpen(bound float64) bool {
 // rootCuts runs cutting-plane rounds at the root: separate Gomory
 // mixed-integer cuts from the optimal tableau and cover cuts from the
 // knapsack rows, screen them, verify every survivor against the stash
-// of known integer-feasible points, append the batch to w0's working
+// (the caller's warm starts that solve verified before the root LP,
+// integer variables snapped exactly), append the batch to w0's working
 // model, and re-solve through the warm-start path — the previous basis
 // extended by one slack per new row stays dual feasible ([B 0; C I] is
 // block lower triangular with zero-cost slacks), so each re-solve is a
@@ -67,9 +36,9 @@ func (c *coordinator) rootGapOpen(bound float64) bool {
 // tree model and the root's children and dive start warm.
 //
 // A round, the first included, starts only while rootGapOpen holds, so
-// a root the warm starts already close separates nothing and builds no
-// stash; the bound rises with each round and the loop stops as soon as
-// it reaches the incumbent.
+// a root the warm starts already close separates nothing; the bound
+// rises with each round and the loop stops as soon as it reaches the
+// incumbent.
 //
 // A mid-round failure (deadline expiry inside a re-solve, or a
 // numerically sick cut LP) rolls the offending batch back and stops
@@ -91,9 +60,6 @@ func (c *coordinator) rootCuts(w0 *worker, root *lp.Solution) (*lp.Solution, err
 		}
 		if v, _ := c.mostFractional(cur.X); v < 0 {
 			break // the cut LP optimum is already integral
-		}
-		if round == 0 {
-			c.buildStash()
 		}
 		var cand []cuts.Cut
 		if view := w0.sx.TableauView(); view != nil {

@@ -1,6 +1,7 @@
 package cuts
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -146,7 +147,7 @@ func TestGomoryAndCoverCloseKnapsackGap(t *testing.T) {
 	}})
 	relaxed := m.Relax()
 	sx := simplex.NewSolver(&simplex.Options{})
-	sol, err := sx.Solve(relaxed)
+	sol, err := sx.SolveFrom(context.Background(), relaxed, nil)
 	if err != nil || sol.Status != lp.StatusOptimal {
 		t.Fatalf("relaxation: %v status %v", err, sol.Status)
 	}
@@ -176,7 +177,7 @@ func TestGomoryAndCoverCloseKnapsackGap(t *testing.T) {
 	if err := strengthened.Err(); err != nil {
 		t.Fatalf("adding cuts: %v", err)
 	}
-	sol2, err := simplex.NewSolver(&simplex.Options{}).Solve(strengthened)
+	sol2, err := simplex.NewSolver(&simplex.Options{}).SolveFrom(context.Background(), strengthened, nil)
 	if err != nil || sol2.Status != lp.StatusOptimal {
 		t.Fatalf("strengthened LP: %v status %v", err, sol2.Status)
 	}

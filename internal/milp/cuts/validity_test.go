@@ -1,6 +1,7 @@
 package cuts
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -145,7 +146,7 @@ func runValiditySeed(t *testing.T, seed int64) (nGomory, nCover int) {
 	}
 	relaxed := m.Relax()
 	sx := simplex.NewSolver(&simplex.Options{})
-	sol, err := sx.Solve(relaxed)
+	sol, err := sx.SolveFrom(context.Background(), relaxed, nil)
 	if err != nil {
 		t.Fatalf("seed %d: relaxation solve: %v", seed, err)
 	}

@@ -88,5 +88,11 @@
 // distinguish "canceled with a usable partial result" from "canceled
 // empty-handed". Options.TimeLimit, by contrast, is a graceful budget:
 // hitting it returns a normal solution with Status lp.StatusNodeLimit
-// and no error.
+// and no error. A context deadline strictly earlier than TimeLimit is
+// a cancellation wherever it is noticed — by the clock poll between
+// nodes, by the root LP or by a node LP — because every stop goes
+// through one limit mapping, which decides what a wall-clock stop means
+// from where the effective deadline came from. A stop before the root
+// branches has proven no bound, so its incumbent, if a warm start gave
+// one, carries gap +Inf.
 package milp

@@ -13,7 +13,8 @@ import (
 )
 
 // This file exercises every reachable (Status, Limit) pair end to end —
-// the contract lp.ValidLimit encodes. Each case drives a real solver
+// the contract lp.ValidLimit encodes; the simplex iteration-cap pair is
+// driven in package simplex, whose test hook sets the cap. Each case drives a real solver
 // into the terminal state rather than constructing the pair by hand, so
 // a drift between the solvers and the documented pair set fails here.
 
@@ -41,14 +42,6 @@ func assertPair(t *testing.T, sol *lp.Solution, status lp.Status, limit string) 
 	if !lp.ValidLimit(sol.Status, sol.Limit) {
 		t.Fatalf("solver produced (%v, %q), which lp.ValidLimit rejects", sol.Status, sol.Limit)
 	}
-}
-
-func TestLimitPairSimplexIterations(t *testing.T) {
-	sol, err := simplex.Solve(limitKnapsack().Relax(), &simplex.Options{MaxIters: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertPair(t, sol, lp.StatusIterLimit, lp.LimitIterations)
 }
 
 func TestLimitPairSimplexWallClock(t *testing.T) {
@@ -159,14 +152,51 @@ func TestLimitPairMILPIterations(t *testing.T) {
 	t.Fatalf("no stall offset in [%d, %d] reached a child LP", rootIters+1, rootIters+8)
 }
 
-// TestLimitEmptyOnCleanOutcomes pins Limit == "" for conclusive solves.
+// TestLimitEmptyOnCleanOutcomes pins Limit == "" for conclusive solves,
+// and that an infeasible verdict, whether presolve or the root LP
+// reaches it, is a whole solve: one solve_start and one solve_end, one
+// milp.solves count, and the solve's statistics.
 func TestLimitEmptyOnCleanOutcomes(t *testing.T) {
 	sol := solveOrFatal(t, limitKnapsack(), &Options{Workers: 1})
 	assertPair(t, sol, lp.StatusOptimal, "")
 
+	// Presolve refutes a ≥ 2 for a binary a. Its 10 passes cannot
+	// refute the cycle x − y ≥ 1, y − z ≥ 1, z − x ≥ 1 over integers in
+	// [0, 1000], so the root LP proves that one infeasible.
 	infeas := lp.NewModel("infeas")
 	a := infeas.AddBinary("a", 1)
 	infeas.AddRow("r", []lp.Term{{Var: a, Coef: 1}}, lp.GE, 2)
 	sol = solveOrFatal(t, infeas, nil)
 	assertPair(t, sol, lp.StatusInfeasible, "")
+
+	cycle := lp.NewModel("cycle")
+	for j := 0; j < 3; j++ {
+		cycle.AddVar(lp.Variable{Upper: 1000, Type: lp.Integer})
+	}
+	for j := 0; j < 3; j++ {
+		cycle.AddRow("", []lp.Term{{Var: lp.VarID(j), Coef: 1}, {Var: lp.VarID((j + 1) % 3), Coef: -1}}, lp.GE, 1)
+	}
+	for _, m := range []*lp.Model{infeas, cycle} {
+		met := obs.NewMetrics()
+		sink := &obs.MemorySink{}
+		sol := solveOrFatal(t, m, &Options{Workers: 1, Trace: obs.NewDeterministic(sink), Metrics: met})
+		assertPair(t, sol, lp.StatusInfeasible, "")
+		if sol.Workers != 1 || sol.WallTime <= 0 {
+			t.Errorf("%s: Workers %d, WallTime %v; want 1 and > 0", m.Name, sol.Workers, sol.WallTime)
+		}
+		kinds := map[obs.Kind]int{}
+		for _, e := range sink.Events() {
+			kinds[e.Kind]++
+		}
+		if kinds[obs.KindSolveStart] != 1 || kinds[obs.KindSolveEnd] != 1 {
+			t.Errorf("%s: %d solve_start, %d solve_end events; want one each",
+				m.Name, kinds[obs.KindSolveStart], kinds[obs.KindSolveEnd])
+		}
+		if got := met.Counter(obs.MetricMILPSolves); got != 1 {
+			t.Errorf("%s: milp.solves = %d, want 1", m.Name, got)
+		}
+		if got := met.Counter(obs.MetricMILPWallMicros); got != sol.WallTime.Microseconds() {
+			t.Errorf("%s: milp.wall_us = %d, sol.WallTime = %v", m.Name, got, sol.WallTime)
+		}
+	}
 }

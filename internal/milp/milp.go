@@ -204,14 +204,6 @@ func SolveContext(ctx context.Context, model *lp.Model, opts *Options) (*lp.Solu
 			c.intVars[i], c.intVars[j] = c.intVars[j], c.intVars[i]
 		})
 	}
-	// The working models are continuous; integrality is enforced by
-	// branching. Presolve tightens the shared model's bounds (used for
-	// incumbent verification) before the workers clone it.
-	if !o.disablePresolve {
-		if _, infeasible := presolve(c.model, 10); infeasible {
-			return &lp.Solution{Status: lp.StatusInfeasible}, nil
-		}
-	}
 	// Unify the option wall limit with the context deadline: the
 	// earliest wins, and *which* configured source is earliest decides
 	// the terminal status up front (StatusNodeLimit for option limits,

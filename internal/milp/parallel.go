@@ -37,10 +37,10 @@ type coordinator struct {
 	// cutModel is the integral model plus the root cuts that survived
 	// activity aging; workers relax it for their node LPs. nil when the
 	// root separated nothing. The incumbent path
-	// deliberately never sees it: tryAccept verifies points against the
+	// deliberately never sees it: verify checks points against the
 	// cut-free c.model.
 	cutModel      *lp.Model
-	stash         [][]float64 // known integer-feasible points guarding cut validity
+	stash         [][]float64 // the verified warm starts, guarding cut validity
 	cutsSeparated int64
 	cutsActive    int64
 
@@ -67,14 +67,16 @@ type coordinator struct {
 	// reported gap must still count them.
 	prunedBound float64 // guarded by mu
 
+	// The terminal state, recorded by the first stop (stopLocked) or
+	// failure (failLocked); finish builds the result from it.
 	done        bool      // guarded by mu
-	finalStatus lp.Status // zero when the queue drained naturally; guarded by mu
-	finalBound  float64   // guarded by mu
+	finalStatus lp.Status // guarded by mu
+	finalBound  float64   // the global bound when the search stopped; guarded by mu
 	limit       string    // budget dimension behind a limit stop (lp.Limit*); guarded by mu
 	err         error     // guarded by mu
 	ctxErr      error     // guarded by mu
 
-	workTime time.Duration // summed per-worker busy time, set after join
+	workTime time.Duration // summed per-worker busy time, folded by finish
 }
 
 // contextLike is the subset of context.Context the coordinator needs;
@@ -100,6 +102,9 @@ func newCoordinator(ctx contextLike, opts Options, model *lp.Model) *coordinator
 	for i := range c.flight {
 		c.flight[i] = math.Inf(1)
 	}
+	// The root is worker 0's node, in flight at −∞ until it branches, so a
+	// stop before then reports that no bound was proven.
+	c.flight[0] = math.Inf(-1)
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
@@ -111,7 +116,7 @@ type worker struct {
 	c          *coordinator
 	work       *lp.Model
 	sx         *simplex.Solver
-	iterations int // folded into the coordinator at each commit
+	iterations int // folded into the coordinator at each commit and by finish
 	busy       time.Duration
 }
 
@@ -146,8 +151,9 @@ func (c *coordinator) pruneEps(incObj float64) float64 {
 }
 
 // globalBoundLocked is the proven lower bound on the optimum: the
-// smallest LP bound over queued and in-flight nodes. With no open nodes
-// the incumbent itself is the bound. Monotone via lastBound.
+// smallest LP bound over queued and in-flight nodes (−∞ while the root is
+// in flight). With no open nodes the incumbent itself is the bound.
+// Monotone via lastBound.
 // caller holds c.mu.
 func (c *coordinator) globalBoundLocked() float64 {
 	b := math.Inf(1)
@@ -223,6 +229,34 @@ func (c *coordinator) stopLocked(status lp.Status, bound float64, limit string) 
 	c.cond.Broadcast()
 }
 
+// limitLocked ends the search at the budget stop lim (an lp.Limit*
+// constant), taking the global bound while the stopping node is still in
+// flight. Every stop at a limit comes here — the node and memory budgets
+// and the deadline at claim time, a node LP's stop in commit, the root
+// LP's stop — so this is the one place that decides what a wall-clock
+// stop means: the caller's cancellation (StatusCanceled with
+// context.DeadlineExceeded) when the effective deadline came from the
+// context, decided at configuration time (deadlineIsCtx) rather than by
+// racing time.Now against the context's own timer, and otherwise the
+// graceful StatusNodeLimit naming the budget.
+// caller holds c.mu.
+func (c *coordinator) limitLocked(lim string) {
+	if lim == lp.LimitWallClock && c.deadlineIsCtx {
+		c.cancelLocked(context.DeadlineExceeded)
+		return
+	}
+	c.stopLocked(lp.StatusNodeLimit, c.globalBoundLocked(), lim)
+}
+
+// cancelLocked ends the search as the caller's cancellation with err.
+// caller holds c.mu.
+func (c *coordinator) cancelLocked(err error) {
+	if !c.done {
+		c.ctxErr = err
+	}
+	c.stopLocked(lp.StatusCanceled, c.globalBoundLocked(), "")
+}
+
 // failLocked records the first worker error and ends the search.
 // caller holds c.mu.
 func (c *coordinator) failLocked(err error) {
@@ -261,41 +295,56 @@ func (c *coordinator) mostFractional(x []float64) (lp.VarID, float64) {
 
 // tryAccept installs x as the incumbent if it verifies against the
 // original model and still beats the incumbent at install time. The
-// expensive feasibility check runs outside the lock; the install is
-// double-checked under it, so the incumbent objective only decreases.
-// worker is the 1-based publisher for incumbent attribution (0 for
-// warm starts, which precede the search).
+// expensive feasibility check runs outside the lock, and only for a point
+// whose LP objective gateObj beats the incumbent snapshot.
+// worker is the 1-based publisher for incumbent attribution.
 func (c *coordinator) tryAccept(x []float64, gateObj float64, worker int) {
-	c.mu.Lock()
-	if c.haveInc && gateObj >= c.incumbentObj-tol.Tie {
-		c.mu.Unlock()
+	if incObj, haveInc := c.snapshotIncumbent(); haveInc && gateObj >= incObj-tol.Tie {
 		return
 	}
-	c.mu.Unlock()
-	// Snap integer variables exactly and verify against the original
-	// model before trusting the point.
+	if snapped := c.verify(x); snapped != nil {
+		c.install(snapped, worker)
+	}
+}
+
+// verify snaps x's integer variables exactly and checks the result
+// against the original model before anything trusts it. It returns the
+// snapped point, or nil when x is not feasible.
+func (c *coordinator) verify(x []float64) []float64 {
+	if len(x) != c.model.NumVars() {
+		return nil
+	}
 	snapped := make([]float64, len(x))
 	copy(snapped, x)
 	for _, v := range c.intVars {
 		snapped[v] = math.Round(snapped[v])
 	}
-	if err := c.model.CheckFeasible(snapped, tol.Accept); err != nil {
+	if c.model.CheckFeasible(snapped, tol.Accept) != nil {
+		return nil
+	}
+	return snapped
+}
+
+// install makes the verified point x the incumbent if it beats the
+// incumbent at install time, double-checked under the lock, so the
+// incumbent objective only decreases. worker is the 1-based publisher
+// (0 for warm starts, which precede the search).
+func (c *coordinator) install(x []float64, worker int) {
+	obj := c.model.Objective(x)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.haveInc && obj >= c.incumbentObj-tol.Tie {
 		return
 	}
-	obj := c.model.Objective(snapped)
-	c.mu.Lock()
-	if !c.haveInc || obj < c.incumbentObj-tol.Tie {
-		c.incumbent = snapped
-		c.incumbentObj = obj
-		c.haveInc = true
-		c.opts.Metrics.Add(obs.MetricMILPIncumbents, 1)
-		if c.opts.Trace != nil {
-			c.opts.Trace.Emit(obs.Event{
-				Kind: obs.KindIncumbent, Value: obs.Float64(obj), Worker: worker, Nodes: obs.Int(c.nodes),
-			})
-		}
+	c.incumbent = x
+	c.incumbentObj = obj
+	c.haveInc = true
+	c.opts.Metrics.Add(obs.MetricMILPIncumbents, 1)
+	if c.opts.Trace != nil {
+		c.opts.Trace.Emit(obs.Event{
+			Kind: obs.KindIncumbent, Value: obs.Float64(obj), Worker: worker, Nodes: obs.Int(c.nodes),
+		})
 	}
-	c.mu.Unlock()
 }
 
 // solveWith applies the node's bound changes, solves the LP relaxation
@@ -417,36 +466,30 @@ func (c *coordinator) claim(w *worker) (nd *node, nodeIdx int, ok bool) {
 			return nil, 0, false
 		}
 		if len(c.queue) == 0 {
-			// Queue drained with nothing in flight: the tree is exhausted
-			// and the incumbent (if any) is optimal.
-			c.done = true
-			c.cond.Broadcast()
-			return nil, 0, false
-		}
-		if c.nodes >= c.opts.MaxNodes {
-			c.stopLocked(lp.StatusNodeLimit, c.globalBoundLocked(), lp.LimitNodes)
-			return nil, 0, false
-		}
-		if c.opts.MemoryBytes > 0 && c.queueBytes > c.opts.MemoryBytes {
-			c.stopLocked(lp.StatusNodeLimit, c.globalBoundLocked(), lp.LimitMemory)
-			return nil, 0, false
-		}
-		if c.expired() {
-			// The effective deadline passed. Which status that means was
-			// decided at configuration time (deadlineIsCtx), not by racing
-			// time.Now against the context's own timer: an option limit at
-			// or before the context deadline is always the graceful stop.
-			if c.deadlineIsCtx {
-				c.ctxErr = context.DeadlineExceeded
-				c.stopLocked(lp.StatusCanceled, c.globalBoundLocked(), "")
+			// Queue drained with nothing in flight: the tree is exhausted,
+			// so the incumbent is optimal, or no integer point exists.
+			if c.haveInc {
+				c.stopLocked(lp.StatusOptimal, c.incumbentObj, "")
 			} else {
-				c.stopLocked(lp.StatusNodeLimit, c.globalBoundLocked(), lp.LimitWallClock)
+				c.stopLocked(lp.StatusInfeasible, math.Inf(1), "")
 			}
 			return nil, 0, false
 		}
+		lim := ""
+		switch {
+		case c.nodes >= c.opts.MaxNodes:
+			lim = lp.LimitNodes
+		case c.opts.MemoryBytes > 0 && c.queueBytes > c.opts.MemoryBytes:
+			lim = lp.LimitMemory
+		case c.expired():
+			lim = lp.LimitWallClock
+		}
+		if lim != "" {
+			c.limitLocked(lim)
+			return nil, 0, false
+		}
 		if e := c.ctx.Err(); e != nil {
-			c.ctxErr = e
-			c.stopLocked(lp.StatusCanceled, c.globalBoundLocked(), "")
+			c.cancelLocked(e)
 			return nil, 0, false
 		}
 		nd = heap.Pop(&c.queue).(*node)
@@ -482,15 +525,11 @@ func (c *coordinator) commit(w *worker, sol *lp.Solution, err error, closed bool
 	c.inFlight--
 	if !c.done && err == nil && sol.Status == lp.StatusIterLimit {
 		// The node LP ran out of its own budget (iterations, or the
-		// propagated wall deadline); surrender the incumbent gracefully.
-		// The node's subtree stays unexplored, so its bound is still in
-		// flight while the stop bound is taken: the monotone bound must
-		// not pass it first.
-		lim := sol.Limit
-		if lim == "" {
-			lim = lp.LimitIterations
-		}
-		c.stopLocked(lp.StatusNodeLimit, c.globalBoundLocked(), lim)
+		// propagated wall deadline), which ends the search. The node's
+		// subtree stays unexplored, so its bound is still in flight while
+		// the stop bound is taken: the monotone bound must not pass it
+		// first.
+		c.limitLocked(sol.Limit)
 	}
 	c.flight[w.id] = math.Inf(1)
 	if c.done {
@@ -594,75 +633,91 @@ func (c *coordinator) runWorker(w *worker, wg *sync.WaitGroup) {
 	}
 }
 
-// solve processes the root sequentially (warm starts, root LP, root
-// dive, first branch), then fans the open tree out over the worker pool
-// and assembles the final solution.
+// solve runs the search to its terminal state and builds the result:
+// presolve and the warm starts, the sequential root phase, then the
+// worker pool over the open tree. Every stop records the terminal state
+// and finish builds the result from it; only a model with no integer
+// variables returns the root LP's own solution, duals included.
 //
-//etlint:ignore lockguard root phase runs before worker fan-out and final reads run after wg.Wait joins every worker
+//etlint:ignore lockguard root phase runs before worker fan-out and finish runs after wg.Wait joins every worker
 func (c *coordinator) solve() (*lp.Solution, error) {
-	w0 := c.newWorker(0)
-	for _, ws := range c.opts.WarmStarts {
-		if len(ws) == c.model.NumVars() {
-			c.tryAccept(ws, c.model.Objective(ws), 0)
+	// The working models are continuous; integrality is enforced by
+	// branching. Presolve tightens the shared model's bounds (used for
+	// incumbent verification) before the workers clone it.
+	if !c.opts.disablePresolve {
+		if _, infeasible := presolve(c.model, 10); infeasible {
+			c.stop(lp.StatusInfeasible, math.Inf(1))
+			return c.finish()
 		}
 	}
+	// Each warm start is verified once: the feasible ones seed the
+	// incumbent and are the stash every root cut must keep feasible.
+	for _, ws := range c.opts.WarmStarts {
+		if x := c.verify(ws); x != nil {
+			c.stash = append(c.stash, x)
+			c.install(x, 0)
+		}
+	}
+	w0 := c.newWorker(0)
 	t0 := time.Now()
+	root, err := c.rootPhase(w0)
+	w0.busy = time.Since(t0)
+	switch {
+	case err != nil:
+		c.mu.Lock()
+		c.failLocked(err)
+		c.mu.Unlock()
+	case c.done:
+		// The root phase recorded the terminal state.
+	case len(c.intVars) == 0:
+		root.Nodes, root.Workers = 1, 1
+		root.WallTime, root.WorkTime = time.Since(c.start), w0.busy
+		return root, nil
+	default:
+		return c.finish(c.search(w0)...)
+	}
+	return c.finish(w0)
+}
+
+// rootPhase solves the root LP on w0, runs the cut rounds and the dive,
+// and branches the root into the queue, returning the root LP solution.
+// A root that ends the search (infeasible, unbounded, stopped at a limit
+// or integral) records its terminal state instead. It runs before any
+// other worker exists, so the cut set is identical at any worker count.
+func (c *coordinator) rootPhase(w0 *worker) (*lp.Solution, error) {
 	root, err := w0.solveWith(nil, nil)
-	c.iterations += w0.takeIterations()
 	if err != nil {
 		return nil, err
 	}
 	switch root.Status {
 	case lp.StatusInfeasible, lp.StatusUnbounded:
-		return &lp.Solution{Status: root.Status, Iterations: c.iterations}, nil
+		c.stop(root.Status, math.Inf(1))
+		return root, nil
 	case lp.StatusIterLimit:
-		w0.busy = time.Since(t0)
-		if root.Limit == lp.LimitWallClock && c.deadlineIsCtx {
-			c.ctxErr = context.DeadlineExceeded
-			return c.canceledSolution([]*worker{w0}), c.ctxErr
-		}
-		if root.Limit == lp.LimitWallClock || c.haveInc {
-			// The root LP itself stopped at a limit. Map it to the same
-			// terminal state the between-node checks produce, so callers
-			// see one consistent limit contract: a warm-start incumbent
-			// is surrendered with an unknown gap (no bound was proven).
-			c.limit = root.Limit
-			return c.assembleFinish(c.lastBound, lp.StatusNodeLimit, []*worker{w0})
-		}
-		return &lp.Solution{Status: root.Status, Iterations: c.iterations, Limit: root.Limit}, nil
+		c.mu.Lock()
+		c.limitLocked(root.Limit)
+		c.mu.Unlock()
+		return root, nil
 	}
 	if !finiteSolution(root) {
 		return nil, fmt.Errorf("milp: root LP returned non-finite values (objective %v)", root.Objective)
 	}
-
 	if len(c.intVars) == 0 {
-		root.Nodes = 1
-		c.workTime = time.Since(t0)
-		c.fillStats(root, 1)
 		return root, nil
 	}
-
-	if v, _ := c.mostFractional(root.X); v < 0 {
-		c.tryAccept(root.X, root.Objective, 1)
-		w0.busy = time.Since(t0)
-		return c.assembleFinish(root.Objective, lp.StatusOptimal, []*worker{w0})
+	if v, _ := c.mostFractional(root.X); v >= 0 && !c.opts.disableCuts {
+		// Root cut rounds tighten a fractional root's relaxation before
+		// the tree search.
+		if root, err = c.rootCuts(w0, root); err != nil {
+			return nil, err
+		}
 	}
-	// Root cut rounds tighten the relaxation before the tree search.
-	// They run here in the sequential root phase, so the cut set is
-	// identical at any worker count.
-	if !c.opts.disableCuts {
-		var cerr error
-		root, cerr = c.rootCuts(w0, root)
-		c.iterations += w0.takeIterations()
-		if cerr != nil {
-			return nil, cerr
-		}
-		if v, _ := c.mostFractional(root.X); v < 0 {
-			// The cut LP optimum went integral: it is optimal for the MILP.
-			c.tryAccept(root.X, root.Objective, 1)
-			w0.busy = time.Since(t0)
-			return c.assembleFinish(root.Objective, lp.StatusOptimal, []*worker{w0})
-		}
+	if v, _ := c.mostFractional(root.X); v < 0 {
+		// The root LP optimum, with or without cuts, is integral: it is
+		// optimal for the MILP, and its objective is the bound.
+		c.tryAccept(root.X, root.Objective, 1)
+		c.stop(lp.StatusOptimal, root.Objective)
+		return root, nil
 	}
 	// The root's optimal basis seeds both first children; snapshot it
 	// before the dive re-solves other LPs on the same solver.
@@ -671,16 +726,27 @@ func (c *coordinator) solve() (*lp.Solution, error) {
 		if err := w0.dive(nil, root); err != nil {
 			return nil, err
 		}
-		c.iterations += w0.takeIterations()
 	}
 	down, up := w0.branchChanges(&node{}, root)
-	w0.busy = time.Since(t0)
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.flight[w0.id] = math.Inf(1) // the root leaves flight as its children enter the queue
 	c.advanceBoundLocked(root.Objective)
 	c.pushLocked(root.Objective, 1, down, rootBasis)
 	c.pushLocked(root.Objective, 1, up, rootBasis)
-	c.mu.Unlock()
+	return root, nil
+}
 
+// stop records a terminal state reached by the sequential root phase.
+func (c *coordinator) stop(status lp.Status, bound float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stopLocked(status, bound, "")
+}
+
+// search fans the open tree out over the worker pool, w0 and
+// Options.Workers−1 fresh workers, and returns them once all have exited.
+func (c *coordinator) search(w0 *worker) []*worker {
 	workers := make([]*worker, c.opts.Workers)
 	workers[0] = w0
 	for i := 1; i < len(workers); i++ {
@@ -692,90 +758,56 @@ func (c *coordinator) solve() (*lp.Solution, error) {
 		go c.runWorker(w, &wg)
 	}
 	wg.Wait()
-
-	if c.err != nil {
-		c.foldBusy(workers)
-		return nil, c.err
-	}
-	if c.ctxErr != nil {
-		return c.canceledSolution(workers), c.ctxErr
-	}
-	if c.finalStatus != 0 {
-		return c.assembleFinish(c.finalBound, c.finalStatus, workers)
-	}
-	// Queue exhausted naturally.
-	if !c.haveInc {
-		sol := &lp.Solution{Status: lp.StatusInfeasible, Iterations: c.iterations, Nodes: c.nodes}
-		c.foldBusy(workers)
-		c.fillStats(sol, c.opts.Workers)
-		return sol, nil
-	}
-	return c.assembleFinish(c.incumbentObj, lp.StatusOptimal, workers)
+	return workers
 }
 
-func (c *coordinator) foldBusy(workers []*worker) {
+// finish builds the solve's result from the recorded terminal state once
+// no worker runs: it folds the workers' iterations and busy time, fills
+// the statistics, and derives status, limit, point and gap. The status
+// is decided on the bound the search stopped at; the reported gap also
+// counts the nodes pruned within tolerance, so "gap 0" means the tree
+// closed, and a stop while the root was in flight, with no bound proven,
+// reports +Inf.
+//
+//etlint:ignore lockguard called only while no worker runs: before fan-out or after wg.Wait joins every worker
+func (c *coordinator) finish(workers ...*worker) (*lp.Solution, error) {
 	for _, w := range workers {
+		c.iterations += w.takeIterations()
 		c.workTime += w.busy
 	}
-}
-
-// assembleFinish maps a terminal (bound, status) pair to the returned
-// solution, mirroring the sequential solver's gap bookkeeping.
-//
-//etlint:ignore lockguard called only after wg.Wait joins every worker; the coordinator is single-threaded again
-func (c *coordinator) assembleFinish(bound float64, status lp.Status, workers []*worker) (*lp.Solution, error) {
-	c.foldBusy(workers)
-	sol := &lp.Solution{Iterations: c.iterations, Nodes: c.nodes}
-	c.fillStats(sol, c.opts.Workers)
-	if !c.haveInc {
-		if status == lp.StatusOptimal {
-			return nil, fmt.Errorf("milp: internal: optimal finish without incumbent")
-		}
-		sol.Status = status
-		if status == lp.StatusNodeLimit {
-			sol.Limit = c.limit
-		}
+	if c.err != nil {
+		return nil, c.err
+	}
+	sol := &lp.Solution{
+		Status: c.finalStatus, Limit: c.limit, Iterations: c.iterations, Nodes: c.nodes,
+		Workers: c.opts.Workers, PeakQueueDepth: c.peakQueue,
+		WallTime: time.Since(c.start), WorkTime: c.workTime,
+	}
+	if c.nodes > 0 {
+		sol.NodesPerWorker = c.nodesBy
+	}
+	switch {
+	case sol.Status == lp.StatusInfeasible || sol.Status == lp.StatusUnbounded:
+	case !c.haveInc && sol.Status == lp.StatusOptimal:
+		return nil, fmt.Errorf("milp: internal: optimal finish without incumbent")
+	case !c.haveInc:
 		sol.Gap = math.Inf(1)
-		return sol, nil
-	}
-	sol.X = c.incumbent
-	sol.Objective = c.incumbentObj
-	// tol.RelGap guards the near-zero-incumbent case (max(1,·)
-	// denominator) and maps a bound of −Inf — no bound ever proven —
-	// to an honest +Inf instead of NaN. The status is decided on the
-	// open nodes' bound; the reported gap also counts the nodes pruned
-	// within tolerance, so "gap 0" means the tree closed.
-	gap := tol.RelGap(c.incumbentObj, bound)
-	sol.Gap = tol.RelGap(c.incumbentObj, math.Min(bound, c.prunedBound))
-	if status == lp.StatusOptimal || gap <= c.opts.GapTol {
-		sol.Status = lp.StatusOptimal
-	} else {
-		sol.Status = lp.StatusFeasible
-		if status == lp.StatusNodeLimit {
-			sol.Status = lp.StatusNodeLimit
-			sol.Limit = c.limit
+		if c.nodes == 0 && c.limit == lp.LimitIterations {
+			// The root LP stalled with no incumbent to surrender: pass
+			// its (StatusIterLimit, LimitIterations) pair through.
+			sol.Status = lp.StatusIterLimit
+		}
+	default:
+		sol.X = c.incumbent
+		sol.Objective = c.incumbentObj
+		// tol.RelGap guards the near-zero-incumbent case (max(1,·)
+		// denominator) and maps a bound of −Inf to an honest +Inf.
+		sol.Gap = tol.RelGap(c.incumbentObj, math.Min(c.finalBound, c.prunedBound))
+		if sol.Status == lp.StatusNodeLimit && tol.RelGap(c.incumbentObj, c.finalBound) <= c.opts.GapTol {
+			sol.Status, sol.Limit = lp.StatusOptimal, ""
 		}
 	}
-	return sol, nil
-}
-
-// canceledSolution packages the partial result surrendered on context
-// cancellation: the incumbent if one exists, the proven bound, and the
-// search statistics so far.
-//
-//etlint:ignore lockguard called only after wg.Wait joins every worker; the coordinator is single-threaded again
-func (c *coordinator) canceledSolution(workers []*worker) *lp.Solution {
-	c.foldBusy(workers)
-	sol := &lp.Solution{Status: lp.StatusCanceled, Iterations: c.iterations, Nodes: c.nodes}
-	c.fillStats(sol, c.opts.Workers)
-	if !c.haveInc {
-		sol.Gap = math.Inf(1)
-		return sol
-	}
-	sol.X = c.incumbent
-	sol.Objective = c.incumbentObj
-	sol.Gap = tol.RelGap(c.incumbentObj, math.Min(c.finalBound, c.prunedBound))
-	return sol
+	return sol, c.ctxErr
 }
 
 // finiteSolution reports whether an LP result is numerically sane: a
@@ -793,19 +825,6 @@ func finiteSolution(sol *lp.Solution) bool {
 		}
 	}
 	return true
-}
-
-// fillStats populates the solution's concurrency statistics.
-//
-//etlint:ignore lockguard called only from the post-join assembly path; no worker is live
-func (c *coordinator) fillStats(sol *lp.Solution, workers int) {
-	sol.Workers = workers
-	if c.nodes > 0 {
-		sol.NodesPerWorker = c.nodesBy
-	}
-	sol.PeakQueueDepth = c.peakQueue
-	sol.WallTime = time.Since(c.start)
-	sol.WorkTime = c.workTime
 }
 
 // emitSolveEnd closes the trace stream for this solve with the terminal

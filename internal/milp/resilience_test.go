@@ -3,6 +3,7 @@ package milp
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -54,19 +55,53 @@ func TestOptionLimitBeatsLaterCtxDeadline(t *testing.T) {
 
 // TestEarlierCtxDeadlineWinsAsCanceled: a context deadline strictly
 // earlier than the option limit always yields StatusCanceled with
-// context.DeadlineExceeded — even when, as here, the coordinator's clock
-// poll is what notices the expiry.
+// context.DeadlineExceeded, whichever stop notices the expiry: the
+// coordinator's clock poll, the root LP, or a node LP (driven through
+// commit here, since dual restoration polls the deadline on every
+// pivot and node LPs are where most expiries land). A root stopped by
+// the deadline has proved no bound, so a warm-start incumbent
+// surrendered with it carries gap +Inf.
 func TestEarlierCtxDeadlineWinsAsCanceled(t *testing.T) {
+	check := func(name string, sol *lp.Solution, err error) {
+		t.Helper()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want context.DeadlineExceeded", name, err)
+		}
+		if sol == nil || sol.Status != lp.StatusCanceled {
+			t.Fatalf("%s: sol = %+v, want canceled partial result", name, sol)
+		}
+	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	m := stressModels()["knapsack30"]()
 	sol, err := SolveContext(ctx, m, &Options{Workers: 1, disableDiving: true, TimeLimit: time.Hour})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	check("cold", sol, err)
+
+	// All zeros fills no knapsack (objective 0); all ones covers every
+	// row (objective 101).
+	for name, v := range map[string]float64{"knapsack30": 0, "covering": 1} {
+		m := stressModels()[name]()
+		warm := make([]float64, m.NumVars())
+		for j := range warm {
+			warm[j] = v
+		}
+		sol, err := SolveContext(ctx, m, &Options{Workers: 1, TimeLimit: time.Hour, WarmStarts: [][]float64{warm}})
+		check(name, sol, err)
+		if sol.X == nil || sol.Objective != m.Objective(warm) {
+			t.Fatalf("%s: point %v (objective %v), want the warm start", name, sol.X, sol.Objective)
+		}
+		if !math.IsInf(sol.Gap, 1) {
+			t.Errorf("%s: gap %v, want +Inf: the root proved no bound", name, sol.Gap)
+		}
 	}
-	if sol == nil || sol.Status != lp.StatusCanceled {
-		t.Fatalf("sol = %+v, want canceled partial result", sol)
-	}
+
+	c := newCoordinator(context.Background(), (&Options{Workers: 1}).withDefaults(), m)
+	c.deadlineIsCtx = true
+	w := c.newWorker(0)
+	c.nodes, c.inFlight, c.flight[0] = 1, 1, 0
+	c.commit(w, &lp.Solution{Status: lp.StatusIterLimit, Limit: lp.LimitWallClock}, nil, true, nil, nil, 1, 0, nil)
+	sol, err = c.finish(w)
+	check("node LP", sol, err)
 }
 
 // TestInjectedDeadlineWithInFlightNodes is the regression test for the

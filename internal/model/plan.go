@@ -290,35 +290,16 @@ func EvaluateAsIs(s *AsIsState) (CostBreakdown, error) {
 	return Evaluate(s, &s.Current, placement, nil, nil)
 }
 
-// EvaluatePlan scores a Plan against the target estate.
+// EvaluatePlan scores a Plan against the target estate. The plan's
+// secondary sites are read when any assignment names one.
 func EvaluatePlan(s *AsIsState, p *Plan) (CostBreakdown, error) {
-	placement := make([]int, len(s.Groups))
-	var secondary []int
-	hasDR := false
-	for i := range s.Groups {
-		a := p.AssignmentFor(s.Groups[i].ID)
-		if a == nil {
-			return CostBreakdown{}, fmt.Errorf("model: plan misses group %q", s.Groups[i].ID)
-		}
-		j := s.Target.DCIndex(a.PrimaryDC)
-		if j < 0 {
-			return CostBreakdown{}, fmt.Errorf("model: plan places group %q at unknown DC %q", a.GroupID, a.PrimaryDC)
-		}
-		placement[i] = j
-		if a.SecondaryDC != "" {
-			hasDR = true
-		}
+	dr := false
+	for i := range p.Assignments {
+		dr = dr || p.Assignments[i].SecondaryDC != ""
 	}
-	if hasDR {
-		secondary = make([]int, len(s.Groups))
-		for i := range s.Groups {
-			a := p.AssignmentFor(s.Groups[i].ID)
-			sj := s.Target.DCIndex(a.SecondaryDC)
-			if sj < 0 {
-				return CostBreakdown{}, fmt.Errorf("model: plan gives group %q unknown secondary DC %q", a.GroupID, a.SecondaryDC)
-			}
-			secondary[i] = sj
-		}
+	placement, secondary, err := PlanIndices(s, p, dr)
+	if err != nil {
+		return CostBreakdown{}, err
 	}
 	var backups []int
 	if len(p.BackupServers) > 0 {
@@ -332,6 +313,38 @@ func EvaluatePlan(s *AsIsState, p *Plan) (CostBreakdown, error) {
 		}
 	}
 	return Evaluate(s, &s.Target, placement, secondary, backups)
+}
+
+// PlanIndices maps a plan's named assignments onto s's indices:
+// placement[i] is the target-DC index of group i's primary and, when dr
+// is set, secondary[i] that of its secondary site (nil otherwise). An
+// error means the plan does not speak the state's vocabulary: it misses
+// a group, or names a data center outside the target estate. A group
+// with several assignments takes its first, as AssignmentFor does.
+func PlanIndices(s *AsIsState, p *Plan, dr bool) (placement, secondary []int, err error) {
+	byGroup := make(map[string]*Assignment, len(p.Assignments))
+	for i := len(p.Assignments) - 1; i >= 0; i-- {
+		byGroup[p.Assignments[i].GroupID] = &p.Assignments[i]
+	}
+	placement = make([]int, len(s.Groups))
+	if dr {
+		secondary = make([]int, len(s.Groups))
+	}
+	for i := range s.Groups {
+		a := byGroup[s.Groups[i].ID]
+		if a == nil {
+			return nil, nil, fmt.Errorf("model: plan misses group %q", s.Groups[i].ID)
+		}
+		if placement[i] = s.Target.DCIndex(a.PrimaryDC); placement[i] < 0 {
+			return nil, nil, fmt.Errorf("model: plan places group %q at unknown DC %q", a.GroupID, a.PrimaryDC)
+		}
+		if dr {
+			if secondary[i] = s.Target.DCIndex(a.SecondaryDC); secondary[i] < 0 {
+				return nil, nil, fmt.Errorf("model: plan gives group %q unknown secondary DC %q", a.GroupID, a.SecondaryDC)
+			}
+		}
+	}
+	return placement, secondary, nil
 }
 
 // RequiredBackups computes the single-failure shared backup pool implied

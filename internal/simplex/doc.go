@@ -81,7 +81,8 @@
 // and the primal loop runs unchanged. At each phase-1 optimum the
 // relaxed columns back inside their bounds get them back; an optimum
 // that restores none proves the LP infeasible. Phase 2 finishes every
-// solve, and Options.MaxIters bounds the whole of it.
+// solve, and one iteration cap (50 000 + 100 pivots per row) bounds the
+// whole of it.
 //
 // The tests check the engine against exactLP, an exact rational two-phase
 // tableau simplex that lives only in the test files and shares no code
@@ -114,5 +115,5 @@
 // solving thousands of same-shaped node LPs) avoid re-allocating the
 // working arrays. Each goroutine must own its own Solver; sharing one
 // requires external serialization. A Solver holds no reference to any
-// model passed to a completed Solve call.
+// model passed to a completed SolveFrom call.
 package simplex

@@ -67,7 +67,7 @@ func TestExactReferenceWarm(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		parent := randomLP(rng, 2+rng.Intn(10), 1+rng.Intn(6))
 		s := NewSolver(nil)
-		p, err := s.Solve(parent)
+		p, err := s.SolveFrom(context.Background(), parent, nil)
 		if err != nil {
 			t.Fatalf("trial %d parent: %v", trial, err)
 		}

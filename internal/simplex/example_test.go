@@ -21,7 +21,7 @@ func ExampleSolver_SolveFrom() {
 	m.AddRow("cap", []lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 4)
 
 	s := simplex.NewSolver(nil)
-	parent, err := s.Solve(m)
+	parent, err := s.SolveFrom(context.Background(), m, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -253,7 +253,7 @@ func TestRefactorAfterKEtasEquivalence(t *testing.T) {
 					refactored += s.t.dualPivots - 1
 				}
 			}
-			psol, err := s.Solve(parent)
+			psol, err := s.SolveFrom(context.Background(), parent, nil)
 			label := fmt.Sprintf("trial %d cap %d", trial, every)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)

@@ -74,14 +74,14 @@ func TestLateFaultLeavesEarlierSolvesClean(t *testing.T) {
 	pivots := clean.Iterations
 	inj := faultinject.New(1, faultinject.Fault{Kind: faultinject.KindPivot, After: pivots + 1})
 	s := NewSolver(&Options{Inject: inj})
-	first, err := s.Solve(resilienceModel())
+	first, err := s.SolveFrom(context.Background(), resilienceModel(), nil)
 	if err != nil {
 		t.Fatalf("first solve failed despite fault armed beyond its pivots: %v", err)
 	}
 	if first.Objective != clean.Objective {
 		t.Errorf("objective drifted under armed-but-silent injector: %v vs %v", first.Objective, clean.Objective)
 	}
-	if _, err := s.Solve(resilienceModel()); err == nil {
+	if _, err := s.SolveFrom(context.Background(), resilienceModel(), nil); err == nil {
 		t.Error("second solve should hit the armed pivot fault")
 	}
 }
@@ -134,7 +134,7 @@ func restorationChild(t *testing.T) (*lp.Model, *Basis) {
 	y := m.AddContinuous("y", 0, 3, 2)
 	m.AddRow("need", []lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, 1)
 	s := NewSolver(nil)
-	if sol, err := s.Solve(m); err != nil || sol.Status != lp.StatusOptimal {
+	if sol, err := s.SolveFrom(context.Background(), m, nil); err != nil || sol.Status != lp.StatusOptimal {
 		t.Fatalf("parent: %v, %v", sol, err)
 	}
 	child := m.Clone()

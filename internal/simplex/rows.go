@@ -29,7 +29,7 @@ const (
 
 // TableauView is a read-only window onto the Solver's internal tableau,
 // valid only while the tableau still describes the most recent solve:
-// any subsequent Solve/SolveFrom call on the same Solver
+// any subsequent SolveFrom call on the same Solver
 // invalidates it. It deliberately exposes no mutation — cut separation
 // reads rows, statuses and bounds, and everything it derives is
 // re-verified against the model before use.

@@ -29,7 +29,7 @@ func TestTableauViewIdentity(t *testing.T) {
 		for _, m := range models {
 			for _, bland := range []bool{false, true} {
 				s := NewSolver(&Options{Bland: bland})
-				sol, err := s.Solve(m)
+				sol, err := s.SolveFrom(context.Background(), m, nil)
 				if err != nil {
 					t.Fatalf("trial %d (Bland %v): %v", trial, bland, err)
 				}
@@ -106,7 +106,7 @@ func TestExtendRowsWarmResolve(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		m := randomBoxLP(rng)
 		s := NewSolver(nil)
-		sol, err := s.Solve(m)
+		sol, err := s.SolveFrom(context.Background(), m, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -160,7 +160,7 @@ func TestExtendRowsWarmResolve(t *testing.T) {
 		}
 
 		// Cross-check against a cold solve of the same child.
-		cold, err := NewSolver(nil).Solve(child)
+		cold, err := NewSolver(nil).SolveFrom(context.Background(), child, nil)
 		if err != nil {
 			t.Fatalf("trial %d: cold re-solve: %v", trial, err)
 		}
@@ -184,7 +184,7 @@ func TestExtendRowsMultiple(t *testing.T) {
 	b := m.AddVar(lp.Variable{Name: "b", Upper: 4, Cost: -1})
 	m.AddRow("r0", []lp.Term{{Var: a, Coef: 1}, {Var: b, Coef: 1}}, lp.LE, 6)
 	s := NewSolver(nil)
-	sol, err := s.Solve(m)
+	sol, err := s.SolveFrom(context.Background(), m, nil)
 	if err != nil || sol.Status != lp.StatusOptimal {
 		t.Fatalf("base solve: %v status %v", err, sol.Status)
 	}
@@ -212,7 +212,7 @@ func TestDropRowsWarmResolve(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		m := randomLP(rng, 2+rng.Intn(8), 2+rng.Intn(6))
 		s := NewSolver(nil)
-		sol, err := s.Solve(m)
+		sol, err := s.SolveFrom(context.Background(), m, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

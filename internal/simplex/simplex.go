@@ -15,9 +15,6 @@ import (
 // Options control a solve. The zero value is usable: sensible defaults
 // are applied for every unset field.
 type Options struct {
-	// MaxIters caps total simplex pivots of a solve: dual restoration
-	// and both primal phases. Default 50000 + 100×rows.
-	MaxIters int
 	// Bland forces Bland's rule from the first pivot (slower, cycle-proof).
 	Bland bool
 	// Deadline, when set, bounds the solve's wall clock: the iteration
@@ -48,6 +45,10 @@ type Options struct {
 	// can force an earlier refactorization. Only this package's tests
 	// set it, to show the policy is invisible in the results.
 	refactorEvery int
+	// maxIters caps total simplex pivots of a solve: dual restoration
+	// and both primal phases. Default 50000 + 100×rows. Only this
+	// package's tests set it, to reach the iteration-limit stop.
+	maxIters int
 }
 
 // stallLimit is the number of consecutive degenerate pivots tolerated:
@@ -60,8 +61,8 @@ func (o *Options) withDefaults(rows int) Options {
 	if o != nil {
 		out = *o
 	}
-	if out.MaxIters <= 0 {
-		out.MaxIters = 50000 + 100*rows
+	if out.maxIters <= 0 {
+		out.maxIters = 50000 + 100*rows
 	}
 	if out.refactorEvery <= 0 {
 		out.refactorEvery = 64
@@ -77,18 +78,19 @@ func (o *Options) withDefaults(rows int) Options {
 //
 // Solve builds fresh working state per call and is safe for concurrent
 // use; callers that solve many models in a loop should hold a Solver
-// instead, which reuses its scratch state across calls.
+// instead, which reuses its scratch state across calls. Solve polls no
+// context.
 func Solve(model *lp.Model, opts *Options) (*lp.Solution, error) {
-	return NewSolver(opts).Solve(model)
+	return NewSolver(opts).SolveFrom(nil, model, nil)
 }
 
 // SolveContext is Solve with cancellation: the iteration loop polls the
 // context every 128 pivots and returns ctx.Err() (no solution — a half-
-// pivoted tableau carries no usable point) once it is done. A nil ctx is
-// treated as context.Background(). Options.Deadline remains the graceful
-// way to bound a solve and still get an iteration-limit status back.
+// pivoted tableau carries no usable point) once it is done. A nil ctx
+// never cancels. Options.Deadline remains the graceful way to bound a
+// solve and still get an iteration-limit status back.
 func SolveContext(ctx context.Context, model *lp.Model, opts *Options) (*lp.Solution, error) {
-	return NewSolver(opts).SolveContext(ctx, model)
+	return NewSolver(opts).SolveFrom(ctx, model, nil)
 }
 
 // Variable status within the tableau.

@@ -445,12 +445,33 @@ func TestSolveIterLimit(t *testing.T) {
 		terms = append(terms, lp.Term{Var: v, Coef: 1})
 	}
 	m.AddRow("cap", terms, lp.LE, 50)
-	sol, err := Solve(m, &Options{MaxIters: 1})
+	sol, err := Solve(m, &Options{maxIters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Status != lp.StatusIterLimit {
 		t.Fatalf("status = %v, want iteration-limit", sol.Status)
+	}
+}
+
+// TestLimitPairSimplexIterations: a solve stopped by its iteration cap
+// reports the (StatusIterLimit, LimitIterations) pair, one lp.ValidLimit
+// accepts. The model is the relaxation of a 30-item knapsack.
+func TestLimitPairSimplexIterations(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := lp.NewModel("pairs")
+	var terms []lp.Term
+	for j := 0; j < 30; j++ {
+		v := m.AddContinuous("", 0, 1, -float64(1+rng.Intn(100)))
+		terms = append(terms, lp.Term{Var: v, Coef: float64(1 + rng.Intn(10))})
+	}
+	m.AddRow("w", terms, lp.LE, 40)
+	sol, err := Solve(m, &Options{maxIters: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != lp.StatusIterLimit || sol.Limit != lp.LimitIterations || !lp.ValidLimit(sol.Status, sol.Limit) {
+		t.Fatalf("got (%v, %q), want (%v, %q)", sol.Status, sol.Limit, lp.StatusIterLimit, lp.LimitIterations)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // Solver is a reusable simplex engine. It owns one scratch tableau that
-// is re-initialized — not re-allocated — on every Solve call, which
+// is re-initialized — not re-allocated — on every SolveFrom call, which
 // removes nearly all per-solve allocation when a caller solves a long
 // sequence of similarly sized models (each branch & bound worker in
 // package milp owns one Solver and puts every node LP through it).
@@ -25,7 +25,7 @@ type Solver struct {
 }
 
 // NewSolver returns a Solver applying opts (nil for defaults) to every
-// subsequent Solve call.
+// subsequent SolveFrom call.
 func NewSolver(opts *Options) *Solver {
 	s := &Solver{}
 	if opts != nil {
@@ -34,22 +34,29 @@ func NewSolver(opts *Options) *Solver {
 	return s
 }
 
-// Solve solves the continuous relaxation of model exactly like the
-// package-level Solve, reusing the Solver's scratch state.
-func (s *Solver) Solve(model *lp.Model) (*lp.Solution, error) {
-	return s.solve(nil, model, nil)
-}
-
-// SolveContext is Solve with cancellation (see the package-level
-// SolveContext). A nil ctx is treated as context.Background().
-func (s *Solver) SolveContext(ctx context.Context, model *lp.Model) (*lp.Solution, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return s.solve(ctx, model, nil)
-}
-
-func (s *Solver) solve(ctx context.Context, model *lp.Model, basis *Basis) (*lp.Solution, error) {
+// SolveFrom solves the continuous relaxation of model starting from an
+// inherited basis instead of a cold start. The intended use is branch &
+// bound: basis came from the parent node's optimal LP and model differs
+// from the parent only in variable bounds, so the basis stays dual
+// feasible (costs and coefficients are unchanged) and a few
+// dual-simplex pivots restore primal feasibility — phase 1 is skipped
+// entirely.
+//
+// The warm path answers only with a proof: restoration either reaches
+// primal feasibility, after which phase 2 proves optimality, or stops
+// on a leaving row whose B⁻¹ row is a Farkas certificate of
+// infeasibility checked against the model data (provesInfeasible).
+// A stale basis (wrong shape, invalid statuses under the child bounds,
+// singular after refactorization) does not install, and SolveFrom
+// starts from the all-slack basis instead, as Solve does; a
+// restoration that gives up without a proof hands its basis to phase 1.
+// A nil basis degrades to Solve.
+//
+// ctx cancels the solve as in SolveContext; a nil ctx never does.
+// Branch & bound passes context.Background(): it polls its own context
+// between nodes, so a canceled search surrenders its incumbent instead
+// of failing on a half-pivoted node LP.
+func (s *Solver) SolveFrom(ctx context.Context, model *lp.Model, basis *Basis) (*lp.Solution, error) {
 	// The early returns below never reach reset; without this, Basis and
 	// TableauView would keep describing the previous solve.
 	s.t.lastOptimal = false

@@ -1,6 +1,7 @@
 package simplex
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestSolverReuseMatchesFreshSolve(t *testing.T) {
 		rows := 1 + rng.Intn(8)
 		m := randomLP(rng, n, rows)
 
-		got, errGot := reused.Solve(m)
+		got, errGot := reused.SolveFrom(context.Background(), m, nil)
 		want, errWant := Solve(m, nil)
 		if (errGot == nil) != (errWant == nil) {
 			t.Fatalf("trial %d: error mismatch: reused %v, fresh %v", trial, errGot, errWant)
@@ -79,12 +80,12 @@ func TestSolverShrinkingModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	reused := NewSolver(nil)
 	big := randomLP(rng, 30, 20)
-	if _, err := reused.Solve(big); err != nil {
+	if _, err := reused.SolveFrom(context.Background(), big, nil); err != nil {
 		t.Fatalf("big solve: %v", err)
 	}
 	for trial := 0; trial < 50; trial++ {
 		m := randomLP(rng, 1+rng.Intn(5), 1+rng.Intn(3))
-		got, errGot := reused.Solve(m)
+		got, errGot := reused.SolveFrom(context.Background(), m, nil)
 		want, errWant := Solve(m, nil)
 		if (errGot == nil) != (errWant == nil) {
 			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, errGot, errWant)

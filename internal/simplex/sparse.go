@@ -51,7 +51,7 @@ func (t *tableau) iterate() (lp.Status, error) {
 	// costs and a fresh devex framework.
 	t.djValid = false
 	for {
-		if t.iters >= t.opts.MaxIters {
+		if t.iters >= t.opts.maxIters {
 			t.limit = lp.LimitIterations
 			return lp.StatusIterLimit, nil
 		}

@@ -1,7 +1,6 @@
 package simplex
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -142,32 +141,6 @@ func (b *Basis) DropRows(rows []int) *Basis {
 		nb.basicIn = append(nb.basicIn, j)
 	}
 	return nb
-}
-
-// SolveFrom solves the continuous relaxation of model starting from an
-// inherited basis instead of a cold start. The intended use is branch &
-// bound: basis came from the parent node's optimal LP and model differs
-// from the parent only in variable bounds, so the basis stays dual
-// feasible (costs and coefficients are unchanged) and a few
-// dual-simplex pivots restore primal feasibility — phase 1 is skipped
-// entirely.
-//
-// The warm path answers only with a proof: restoration either reaches
-// primal feasibility, after which phase 2 proves optimality, or stops
-// on a leaving row whose B⁻¹ row is a Farkas certificate of
-// infeasibility checked against the model data (provesInfeasible).
-// A stale basis (wrong shape, invalid statuses under the child bounds,
-// singular after refactorization) does not install, and SolveFrom
-// starts from the all-slack basis instead, as Solve does; a
-// restoration that gives up without a proof hands its basis to phase 1.
-// A nil basis degrades to Solve.
-//
-// ctx cancels the solve as in SolveContext; a nil ctx never does.
-// Branch & bound passes context.Background(): it polls its own context
-// between nodes, so a canceled search surrenders its incumbent instead
-// of failing on a half-pivoted node LP.
-func (s *Solver) SolveFrom(ctx context.Context, model *lp.Model, basis *Basis) (*lp.Solution, error) {
-	return s.solve(ctx, model, basis)
 }
 
 // slackBasis returns the all-slack basis of the freshly reset tableau
@@ -319,8 +292,8 @@ const (
 // within tol.Tie of zero: the dual objective does not move, and the
 // loop has no anti-cycling rule of its own), restoration gives up and
 // phase 1, whose primal loop falls back to Bland's rule, repairs the
-// infeasibility left on the basis it ended on. Options.MaxIters bounds
-// the whole solve, restoration included. A singular refactorization is
+// infeasibility left on the basis it ended on. The iteration cap
+// (Options.maxIters) bounds the whole solve, restoration included. A singular refactorization is
 // a numerical failure returned as an error, as in the primal loop.
 // Dual feasibility is an efficiency argument here, not a correctness
 // dependency: whatever basis restoration ends on, phase 1 and
@@ -347,7 +320,7 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 		if r < 0 {
 			return restoreOK, nil
 		}
-		if t.iters >= t.opts.MaxIters {
+		if t.iters >= t.opts.maxIters {
 			t.limit = lp.LimitIterations
 			return restoreLimit, nil
 		}

@@ -53,7 +53,7 @@ func TestWarmSolveFromMatchesCold(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		parent := randomBoxLP(rng)
 		warm := NewSolver(nil)
-		psol, err := warm.Solve(parent)
+		psol, err := warm.SolveFrom(context.Background(), parent, nil)
 		if err != nil {
 			t.Fatalf("trial %d: parent solve: %v", trial, err)
 		}
@@ -143,7 +143,7 @@ func TestWarmResolveSameModelSkipsPhase1(t *testing.T) {
 	m.AddRow("diff", []lp.Term{{Var: y, Coef: 1}, {Var: x, Coef: -1}}, lp.GE, 2)
 
 	s := NewSolver(nil)
-	cold, err := s.Solve(m)
+	cold, err := s.SolveFrom(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestWarmStaleBasisFallsBack(t *testing.T) {
 	a := small.AddContinuous("a", 0, 2, -1)
 	small.AddRow("r", []lp.Term{{Var: a, Coef: 1}}, lp.LE, 1)
 	s := NewSolver(nil)
-	if _, err := s.Solve(small); err != nil {
+	if _, err := s.SolveFrom(context.Background(), small, nil); err != nil {
 		t.Fatal(err)
 	}
 	stale := s.Basis()
@@ -221,7 +221,7 @@ func TestWarmInfeasibleChild(t *testing.T) {
 	y := m.AddContinuous("y", 0, 5, 1)
 	m.AddRow("need", []lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, 6)
 	s := NewSolver(nil)
-	psol, err := s.Solve(m)
+	psol, err := s.SolveFrom(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestWarmInfeasibleChildrenMatchExact(t *testing.T) {
 			parent = randomBoxLP(rng)
 		}
 		s := NewSolver(nil)
-		psol, err := s.Solve(parent)
+		psol, err := s.SolveFrom(context.Background(), parent, nil)
 		if err != nil {
 			t.Fatalf("trial %d: parent solve: %v", trial, err)
 		}
@@ -387,7 +387,7 @@ func TestWarmBasisAvailability(t *testing.T) {
 	x := infeas.AddContinuous("x", 0, 5, 1)
 	infeas.AddRow("lo", []lp.Term{{Var: x, Coef: 1}}, lp.GE, 10)
 	s := NewSolver(nil)
-	if _, err := s.Solve(infeas); err != nil {
+	if _, err := s.SolveFrom(context.Background(), infeas, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.Basis() != nil {
@@ -397,7 +397,7 @@ func TestWarmBasisAvailability(t *testing.T) {
 	unb := lp.NewModel("unb")
 	u := unb.AddContinuous("u", 0, math.Inf(1), -1)
 	unb.AddRow("r", []lp.Term{{Var: u, Coef: -1}}, lp.LE, 0)
-	if _, err := s.Solve(unb); err != nil {
+	if _, err := s.SolveFrom(context.Background(), unb, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.Basis() != nil {
@@ -424,14 +424,14 @@ func TestBasisClearedByEarlyReturnSolve(t *testing.T) {
 		wantErr bool
 	}{{lp.NewModel("empty"), false}, {bad, true}} {
 		s := NewSolver(nil)
-		if sol, err := s.Solve(tiny); err != nil || sol.Status != lp.StatusOptimal {
+		if sol, err := s.SolveFrom(context.Background(), tiny, nil); err != nil || sol.Status != lp.StatusOptimal {
 			t.Fatalf("tiny: %v, %v", sol, err)
 		}
 		if s.Basis() == nil || s.TableauView() == nil {
 			t.Fatal("no basis after an optimal solve")
 		}
 		name := tc.next.Name
-		if _, err := s.Solve(tc.next); (err != nil) != tc.wantErr {
+		if _, err := s.SolveFrom(context.Background(), tc.next, nil); (err != nil) != tc.wantErr {
 			t.Fatalf("%s: err = %v, want error %v", name, err, tc.wantErr)
 		}
 		if b := s.Basis(); b != nil {
@@ -451,7 +451,7 @@ func TestWarmBasisOutlivesSolver(t *testing.T) {
 	y := m.AddContinuous("y", 0, 3, -2)
 	m.AddRow("cap", []lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 4)
 	s := NewSolver(nil)
-	if _, err := s.Solve(m); err != nil {
+	if _, err := s.SolveFrom(context.Background(), m, nil); err != nil {
 		t.Fatal(err)
 	}
 	basis := s.Basis()
@@ -460,7 +460,7 @@ func TestWarmBasisOutlivesSolver(t *testing.T) {
 	other := lp.NewModel("other")
 	u := other.AddContinuous("u", 0, 9, 1)
 	other.AddRow("r", []lp.Term{{Var: u, Coef: 1}}, lp.GE, 2)
-	if _, err := s.Solve(other); err != nil {
+	if _, err := s.SolveFrom(context.Background(), other, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -675,7 +675,7 @@ func TestDualDegenerateGuard(t *testing.T) {
 	// slack basis is optimal; the child frees x_i down to 0, and each
 	// row then takes a dual-degenerate pivot.
 	s := NewSolver(nil)
-	if psol, err := s.Solve(degenerateCoverLP(stallLimit+1, 1)); err != nil || psol.Status != lp.StatusOptimal {
+	if psol, err := s.SolveFrom(context.Background(), degenerateCoverLP(stallLimit+1, 1), nil); err != nil || psol.Status != lp.StatusOptimal {
 		t.Fatalf("parent: %v, %v", psol, err)
 	}
 	met = obs.NewMetrics()

@@ -37,9 +37,17 @@
 #                  encoding, kept as a test reference, must reach the
 #                  same optimum (TestPairVsPaperFormulationEquivalent),
 #                  and group aggregation must be exact and shrink the
-#                  model (TestAggregationExact); and the local search's
+#                  model (TestAggregationExact); the local search's
 #                  scorer must total every assignment as model.Evaluate
-#                  does, bit for bit (TestScorerMatchesEvaluate)
+#                  does, bit for bit (TestScorerMatchesEvaluate); and
+#                  the branch & bound limit contract, by name: every
+#                  reachable (Status, Limit) pair, a context deadline
+#                  ending the solve canceled wherever it is noticed
+#                  (claim poll, root LP, node LP), an option limit at or
+#                  before it staying graceful, a root stop reporting no
+#                  proven bound, a node LP stop keeping its bound, and
+#                  infeasible verdicts (presolve or root LP) carrying a
+#                  whole solve's trace, counters and statistics
 #   9. fault smoke each injectable fault class forced through -faults
 #                  end to end, without and with -dr, at -gap 1e-4 on a
 #                  state that branches in that mode: every row must fire
@@ -130,11 +138,12 @@ echo "    internal/obs coverage: ${cover}%"
 echo "==> bench report schema validation (docs/benchmarks)"
 go run ./cmd/etbench -validate docs/benchmarks
 
-echo "==> golden plan + metamorphic + model-equivalence output locks"
+echo "==> golden plan + metamorphic + model-equivalence + limit-contract output locks"
 go test ./cmd/etransform -run TestGoldenPlans
 go test ./internal/core -run 'TestMetamorphic(CostScaling|IndexPermutation|DominatedDC)'
 go test ./internal/core -run 'TestPlannerMatchesBruteForce|TestPairVsPaperFormulationEquivalent|TestAggregationExact'
 go test ./internal/model -run 'TestScorerMatchesEvaluate'
+go test ./internal/milp ./internal/simplex -run 'TestLimitPair|TestLimitEmptyOnCleanOutcomes|TestRootStallSurrendersWarmStart|TestEarlierCtxDeadlineWinsAsCanceled|TestOptionLimitBeatsLaterCtxDeadline|TestBudgetMemoryStopsGracefully|TestInjectedDeadlineWithInFlightNodes|TestNodeLPStallKeepsBound|TestWarmStartDeadlineKeepsReportedGap|TestCancellationReturnsPartialIncumbent'
 
 echo "==> fault-injection smoke matrix"
 SMOKE_DIR=$(mktemp -d)
