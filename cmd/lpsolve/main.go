@@ -147,6 +147,9 @@ func run(args []string) (degraded bool, err error) {
 			sol.Limit, sol.Gap)
 		degraded = true
 	} else if !sol.Status.HasSolution() || sol.X == nil {
+		if sol.Status != lp.StatusInfeasible && sol.Status != lp.StatusUnbounded {
+			return false, fmt.Errorf("solve ended %v before any feasible point was found", sol.Status)
+		}
 		// Infeasible / unbounded: a conclusive verdict, exit 0.
 		return false, nil
 	}

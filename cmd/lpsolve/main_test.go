@@ -92,6 +92,25 @@ End`)
 	}
 }
 
+// TestRunIterLimitWithoutPointFails: a stalled root LP ends the solve at
+// its iteration limit with no point, which is no verdict: exit 1, where
+// only an infeasible or unbounded verdict exits 0 without a point.
+func TestRunIterLimitWithoutPointFails(t *testing.T) {
+	path := writeFile(t, "m.lp", `Maximize
+ obj: 5 a + 4 b + 3 c + 7 d
+Subject To
+ w: 2 a + 3 b + 1 c + 4 d <= 5
+Binaries
+ a b c d
+End`)
+	if _, err := run([]string{"-workers", "1", path}); err != nil {
+		t.Fatalf("clean solve failed: %v", err)
+	}
+	if _, err := run([]string{"-workers", "1", "-faults", "stallxall", path}); err == nil {
+		t.Error("iteration-limit stop without a point exited 0")
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	if _, err := run([]string{}); err == nil {
 		t.Error("no args accepted")

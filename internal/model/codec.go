@@ -7,18 +7,23 @@ import (
 	"os"
 )
 
-// ReadState decodes an AsIsState from JSON and validates it.
+// ReadState reads r to its end, decodes the one JSON object it holds as
+// an AsIsState and validates it. Keys that name no field are an error at
+// every level, and so is anything but whitespace after the object; see
+// decode.go for how the decoder matches encoding/json.
 func ReadState(r io.Reader) (*AsIsState, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var s AsIsState
-	if err := dec.Decode(&s); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("model: reading as-is state: %w", err)
+	}
+	s, err := decodeState(data)
+	if err != nil {
 		return nil, fmt.Errorf("model: decoding as-is state: %w", err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &s, nil
+	return s, nil
 }
 
 // LoadState reads an AsIsState from a JSON file.

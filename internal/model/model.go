@@ -234,8 +234,8 @@ func (s *AsIsState) Validate() error {
 			return fmt.Errorf("model: group %q needs %d servers but the largest target data center holds %d; split it first (see §II)",
 				g.ID, g.Servers, maxCap)
 		}
-		if err := checkFinite(fmt.Sprintf("groups[%d].data_mb_per_month", i), g.DataMbPerMonth); err != nil {
-			return fmt.Errorf("%w (group %q)", err, g.ID)
+		if !finiteNonNegative(g.DataMbPerMonth) {
+			return fmt.Errorf("%w (group %q)", checkFinite(fmt.Sprintf("groups[%d].data_mb_per_month", i), g.DataMbPerMonth), g.ID)
 		}
 		if len(g.UsersByLocation) != r {
 			return fmt.Errorf("model: group %q has %d user-location entries, want %d", g.ID, len(g.UsersByLocation), r)
@@ -281,6 +281,12 @@ func (s *AsIsState) Validate() error {
 }
 
 func (s *AsIsState) hasVPN(e *Estate) bool { return len(e.VPNLinkMonthly) > 0 }
+
+// finiteNonNegative reports whether checkFinite accepts v, so a caller
+// that builds the field path per record formats it only on failure.
+func finiteNonNegative(v float64) bool {
+	return v >= 0 && !math.IsInf(v, 1) // NaN >= 0 is false
+}
 
 // checkFinite rejects NaN, ±Inf and negative values, naming the field by
 // its JSON path so a bad record in a large dataset can be located
@@ -335,8 +341,8 @@ func (s *AsIsState) validateEstate(label string, e *Estate, r int, required bool
 			{"labor_cost_per_admin", dc.LaborCostPerAdmin},
 			{"wan_cost_per_mb", dc.WANCostPerMb},
 		} {
-			if err := checkFinite(fmt.Sprintf("%s.dcs[%d].%s", label, j, f.field), f.v); err != nil {
-				return fmt.Errorf("%w (DC %q)", err, dc.ID)
+			if !finiteNonNegative(f.v) {
+				return fmt.Errorf("%w (DC %q)", checkFinite(fmt.Sprintf("%s.dcs[%d].%s", label, j, f.field), f.v), dc.ID)
 			}
 		}
 	}

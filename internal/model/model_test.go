@@ -2,7 +2,10 @@ package model
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -526,6 +529,27 @@ func TestReadStateRejectsUnknownFields(t *testing.T) {
 	if _, err := ReadState(strings.NewReader(`{"name":"x","bogus":1}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
+	// Inside a space curve or a latency penalty too: a misspelled
+	// "unit_cost" would otherwise price its tier at 0.
+	valid, err := json.Marshal(testState(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct{ name, from, to string }{
+		{"space-cost", `"space_cost":{"segments":[`, `"space_cost":{"bogus":1,"segments":[`},
+		{"segment", `{"width":"inf","unit_cost":`, `{"width":"inf","unit_cots":1,"unit_cost":`},
+		{"latency-penalty", `"latency_penalty":{"steps":[`, `"latency_penalty":{"bogus":1,"steps":[`},
+		{"step", `{"threshold_ms":10,`, `{"threshold_ms":10,"bogus":1,`},
+	} {
+		doc := strings.Replace(string(valid), tt.from, tt.to, 1)
+		if doc == string(valid) {
+			t.Fatalf("%s: %s not in the encoded state", tt.name, tt.from)
+		}
+		_, err := ReadState(strings.NewReader(doc))
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: error %v, want an unknown field", tt.name, err)
+		}
+	}
 }
 
 func TestSummaryRendering(t *testing.T) {
@@ -563,4 +587,41 @@ func TestDCIndex(t *testing.T) {
 	if s.Target.DCIndex("t2") != 1 || s.Target.DCIndex("zzz") != -1 {
 		t.Error("DCIndex wrong")
 	}
+}
+
+// TestDecodeTablesCoverEveryField: each of the decoder's field tables
+// names exactly the keys encoding/json knows for its struct, so a field
+// added to a state type without a table entry fails here, not on the
+// first document that carries it.
+func TestDecodeTablesCoverEveryField(t *testing.T) {
+	for _, tt := range []struct {
+		typ    reflect.Type
+		fields []string
+	}{
+		{reflect.TypeOf(AsIsState{}), tableNames(stateFields)},
+		{reflect.TypeOf(AppGroup{}), tableNames(groupFields)},
+		{reflect.TypeOf(Estate{}), tableNames(estateFields)},
+		{reflect.TypeOf(DataCenter{}), tableNames(dcFields)},
+		{reflect.TypeOf(CostParams{}), tableNames(paramFields)},
+		{reflect.TypeOf(geo.Location{}), tableNames(locationFields)},
+		{reflect.TypeOf(stepwise.Segment{}), tableNames(segmentFields)},
+		{reflect.TypeOf(stepwise.PenaltyStep{}), tableNames(stepFields)},
+	} {
+		var want []string
+		for i := 0; i < tt.typ.NumField(); i++ {
+			name, _, _ := strings.Cut(tt.typ.Field(i).Tag.Get("json"), ",")
+			want = append(want, name)
+		}
+		if !slices.Equal(tt.fields, want) {
+			t.Errorf("%v: decoder table %q, encoding/json keys %q", tt.typ, tt.fields, want)
+		}
+	}
+}
+
+func tableNames[T any](fields []field[T]) []string {
+	var names []string
+	for _, f := range fields {
+		names = append(names, f.name)
+	}
+	return names
 }

@@ -57,6 +57,8 @@ func TestCurveJSONRejectsInvalid(t *testing.T) {
 		`{"segments":[{"width":"huge","unit_cost":2}]}`,
 		`{"segments":[{"width":true,"unit_cost":2}]}`,
 		`{"segments":[{"width":"inf","unit_cost":2},{"width":1,"unit_cost":2}]}`,
+		`{"segments":[{"width":1,"unit_cots":2}]}`,
+		`{"segments":[],"tiers":[]}`,
 	}
 	for _, src := range cases {
 		var c Curve
@@ -89,7 +91,13 @@ func TestLatencyPenaltyJSONRoundTrip(t *testing.T) {
 
 func TestLatencyPenaltyJSONRejectsInvalid(t *testing.T) {
 	var p LatencyPenalty
-	if err := json.Unmarshal([]byte(`{"steps":[{"threshold_ms":-2,"penalty_per_user":1}]}`), &p); err == nil {
-		t.Error("invalid penalty accepted")
+	for _, src := range []string{
+		`{"steps":[{"threshold_ms":-2,"penalty_per_user":1}]}`,
+		`{"steps":[{"threshold_ms":2,"penalty":1}]}`,
+		`{"steps":[],"step":[]}`,
+	} {
+		if err := json.Unmarshal([]byte(src), &p); err == nil {
+			t.Errorf("unmarshal %s succeeded, want error", src)
+		}
 	}
 }

@@ -68,7 +68,10 @@
 #  11. cut validity the 16-seed subset of the cut-validity property
 #                  suite (no separated cut may eliminate an enumerated
 #                  integer-feasible point) plus a short fuzz pass over
-#                  both separators
+#                  both separators, and one over the state decoder
+#                  (FuzzReadState: model.ReadState must accept exactly
+#                  what a strict encoding/json decode accepts and build
+#                  the same state)
 #  12. worker determinism smoke: the default planner solve at -workers
 #                  1 and 4, without and with -dr, must produce the
 #                  identical plan cost block (root cuts run in the
@@ -262,10 +265,11 @@ fi
 go run ./cmd/etbench -validate "$SMOKE_DIR"
 echo "    robust batch byte-stable at -workers 1 vs 2"
 
-echo "==> cut validity smoke (16-seed subset + short fuzz)"
+echo "==> cut validity smoke (16-seed subset + short fuzz) and state-decoder fuzz"
 go test -run 'TestCutValiditySmoke16|TestCoverDegenerateRows' ./internal/milp/cuts
 go test -run '^$' -fuzz FuzzGomoryRow -fuzztime 5s ./internal/milp/cuts
 go test -run '^$' -fuzz FuzzCoverSeparation -fuzztime 5s ./internal/milp/cuts
+go test -run '^$' -fuzz FuzzReadState -fuzztime 5s ./internal/model
 
 echo "==> worker determinism smoke (-workers 1 vs 4, without and with -dr)"
 # Root cuts run in the sequential root phase, so the certified plan — in
